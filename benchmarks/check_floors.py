@@ -15,7 +15,7 @@ CI loudly.  Three sources of floors, in order:
 * a ``byte_floors`` dict inside an entry maps *metric name* → maximum
   and is checked in the ≤ direction (``BENCH_columnar`` writes these:
   the store's resident bytes must stay *under* the cap);
-* a ``required_*`` key inside an entry (``BENCH_wal``, ``BENCH_mvcc``)
+* a ``required_*`` key inside an entry (``BENCH_wal``)
   is checked against the entry's other ``*speedup*`` metric;
 * :data:`KNOWN_FLOORS` pins the floors the older benchmark modules
   assert in-test but do not embed in their JSON.

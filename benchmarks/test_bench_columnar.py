@@ -45,9 +45,10 @@ from pathlib import Path
 import pytest
 
 from repro.core import Instance, Pattern, Scheme
-from repro.graph import NO_PRINT, GraphStore, ReferenceGraphStore
+from repro.graph import NO_PRINT, GraphStore
 from repro.graph.columns import LABELS
 from repro.plan import compile_plan, execute_plan
+from repro.testing import ReferenceGraphStore
 
 RESULTS: dict = {"benchmarks": {}}
 

@@ -14,8 +14,9 @@ import random
 
 import pytest
 
-from repro.core import Pattern, count_matchings, find_matchings, find_matchings_naive
+from repro.core import Pattern, count_matchings, find_matchings
 from repro.hypermedia import build_scheme
+from repro.testing import find_matchings_naive
 from repro.workloads import scale_free_instance
 
 

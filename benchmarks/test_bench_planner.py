@@ -31,10 +31,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import Instance, Pattern, find_matchings_backtracking
+from repro.core import Instance, Pattern
 from repro.core.matching import find_matchings
 from repro.hypermedia import build_scheme
 from repro.plan import compile_plan
+from repro.testing import find_matchings_backtracking
 from repro.workloads import chain_instance, scale_free_instance
 
 RESULTS: dict = {"benchmarks": {}}

@@ -1,7 +1,8 @@
 """Benchmarks for the transaction layer (`repro.txn`).
 
-Undo-journal transactions against the full-snapshot protocol, on the
-two workloads where snapshot costs dominate:
+Undo-journal transactions (:class:`repro.txn.Transaction`) against the
+full-snapshot oracle (:class:`repro.testing.SnapshotTransaction`), on
+the two workloads where snapshot costs dominate:
 
 * **small-write-50k** — committed transactions touching 10 edges each
   on a 50 000-node instance (the dominant real workload: transactions
@@ -15,7 +16,7 @@ The headline number is asserted mechanically: the journal protocol
 must be at least 10× faster on both workloads.
 
 Both workloads pin their instances to the dict-backed
-:class:`~repro.graph.ReferenceGraphStore`.  The default columnar
+:class:`~repro.testing.ReferenceGraphStore`.  The default columnar
 store's ``copy()`` is a copy-on-write fork — capturing a snapshot
 there costs O(1) plus privatization of whatever the transaction later
 touches, which collapses the full-copy baseline this module exists to
@@ -43,7 +44,7 @@ import pytest
 
 from repro.core import Instance, Scheme
 from repro.core import counters as _counters
-from repro.graph import ReferenceGraphStore
+from repro.testing import ReferenceGraphStore, SnapshotTransaction
 from repro.txn import Transaction
 
 RESULTS: dict = {"benchmarks": {}}
@@ -76,27 +77,27 @@ def exact_counts(instance):
     return instance.node_count, instance.edge_count
 
 
-def timed_small_writes(instance, ids, use_journal: bool, repeats: int, edges: int):
+def timed_small_writes(instance, ids, protocol, repeats: int, edges: int):
     """Total seconds for ``repeats`` pairs of committed transactions:
     one adding ``edges`` edges, one removing them again."""
     started = time.perf_counter()
     for _ in range(repeats):
-        txn = Transaction(instance, use_journal=use_journal)
+        txn = protocol(instance)
         for i in range(edges):
             instance.add_edge(ids[i], "knows", ids[i + 2])
         txn.commit()
-        txn = Transaction(instance, use_journal=use_journal)
+        txn = protocol(instance)
         for i in range(edges):
             instance.remove_edge(ids[i], "knows", ids[i + 2])
         txn.commit()
     return time.perf_counter() - started
 
 
-def timed_savepoint_loop(instance, ids, use_journal: bool, points: int):
+def timed_savepoint_loop(instance, ids, protocol, points: int):
     """One transaction taking ``points`` savepoints, rolling back to
     every fourth, then rolling the whole transaction back."""
     started = time.perf_counter()
-    txn = Transaction(instance, use_journal=use_journal)
+    txn = protocol(instance)
     for k in range(points):
         point = txn.savepoint()
         instance.add_edge(ids[k], "knows", ids[k + 3])
@@ -118,10 +119,10 @@ def test_small_write_on_large_instance():
     repeats, edges = 5, 10
 
     with _counters.collect() as tally:
-        journal_s = timed_small_writes(instance, ids, True, repeats, edges)
+        journal_s = timed_small_writes(instance, ids, Transaction, repeats, edges)
     assert tally.txn_snapshot_captures == 0
     assert tally.txn_journal_entries == repeats * 2 * edges
-    snapshot_s = timed_small_writes(instance, ids, False, repeats, edges)
+    snapshot_s = timed_small_writes(instance, ids, SnapshotTransaction, repeats, edges)
 
     assert exact_counts(instance) == before  # every add was removed again
     speedup = snapshot_s / journal_s if journal_s else None
@@ -149,9 +150,9 @@ def test_savepoint_heavy_loop():
     points = 20
 
     with _counters.collect() as tally:
-        journal_s = timed_savepoint_loop(instance, ids, True, points)
+        journal_s = timed_savepoint_loop(instance, ids, Transaction, points)
     assert tally.txn_snapshot_captures == 0  # savepoints are watermarks
-    snapshot_s = timed_savepoint_loop(instance, ids, False, points)
+    snapshot_s = timed_savepoint_loop(instance, ids, SnapshotTransaction, points)
 
     assert exact_counts(instance) == before
     speedup = snapshot_s / journal_s if journal_s else None

@@ -378,7 +378,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_concurrent=args.max_clients,
         max_queue=args.queue,
         lock_timeout=args.lock_timeout,
-        mvcc=not args.no_mvcc,
         default_limits=ResourceLimits(
             max_matchings=args.max_matchings, max_call_depth=args.max_call_depth
         ),
@@ -560,10 +559,9 @@ def _render_stats(stats) -> list:
             size /= 1024.0
         return f"{int(count)} B"
 
-    mode = "mvcc" if stats.get("mvcc", False) else "locked (no-mvcc)"
     conns = stats.get("connections", {})
     lines = [
-        f"uptime {stats.get('uptime_s', 0)}s — isolation: {mode}",
+        f"uptime {stats.get('uptime_s', 0)}s",
         f"connections: {conns.get('open', 0)} open / {conns.get('total', 0)} total"
         f" — queue {stats.get('queue_depth', 0)}, running {stats.get('running', 0)}",
     ]
@@ -844,12 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lock-timeout", type=float, default=30.0, help="seconds to wait for a database lock"
-    )
-    serve.add_argument(
-        "--no-mvcc",
-        action="store_true",
-        help="serve with the legacy reader-writer locks instead of MVCC "
-        "snapshots (queries then block behind writers)",
     )
     serve.add_argument(
         "--max-matchings", type=int, default=None, help="default per-session matching budget"

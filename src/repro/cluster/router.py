@@ -511,7 +511,6 @@ class RouterServer:
             },
             "queue_depth": sum(p.gauges()["waiting"] for p in self.pools.values()),
             "running": sum(p.gauges()["in_flight"] for p in self.pools.values()),
-            "mvcc": all(p.get("mvcc", True) for p in worker_stats.values()),
             "total": merged_total,
             "databases": {name: databases[name] for name in sorted(databases)},
         }

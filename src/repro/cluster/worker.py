@@ -42,7 +42,6 @@ def build_worker_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-clients", type=int, default=8)
     parser.add_argument("--queue", type=int, default=64)
     parser.add_argument("--lock-timeout", type=float, default=30.0)
-    parser.add_argument("--no-mvcc", action="store_true")
     return parser
 
 
@@ -63,7 +62,6 @@ async def _serve(args: argparse.Namespace) -> int:
         max_concurrent=args.max_clients,
         max_queue=args.queue,
         lock_timeout=args.lock_timeout,
-        mvcc=not args.no_mvcc,
     )
     for entry in report.databases:
         server.stats.charge(entry["name"], recoveries=1, wal_torn=entry["torn_records"])

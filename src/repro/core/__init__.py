@@ -37,8 +37,6 @@ from repro.core.matching import (
     Matching,
     count_matchings,
     find_matchings,
-    find_matchings_backtracking,
-    find_matchings_naive,
     match_exists,
 )
 from repro.core.methods import (
@@ -81,8 +79,6 @@ __all__ = [
     "empty_pattern",
     "ExecutionContext",
     "find_matchings",
-    "find_matchings_backtracking",
-    "find_matchings_naive",
     "GoodError",
     "HeadBindings",
     "Instance",

@@ -11,36 +11,31 @@ Matchings are graph homomorphisms — they need *not* be injective (two
 pattern nodes may map to the same instance node), and the instance may
 contain arbitrarily more structure around the image.
 
-Four matchers are provided:
+Two matchers are provided:
 
-* :func:`find_matchings` — the production matcher: dispatches to the
-  cost-based planner (:mod:`repro.plan`), which compiles the pattern
-  into a cached, selectivity-ordered index-join plan and executes it;
-* :func:`find_matchings_backtracking` — the pre-planner backtracking
-  search with a most-constrained-first variable order and
-  adjacency-driven candidate pruning, retained as an oracle (the
-  planner is property-tested equivalent to it) and as the baseline the
-  planner benchmarks measure against;
+* :func:`find_matchings` — dispatches to the cost-based planner
+  (:mod:`repro.plan`), which compiles the pattern into a cached,
+  selectivity-ordered index-join plan and executes it;
 * :func:`find_matchings_delta` — delta-constrained matching: only the
   matchings that touch a recorded :class:`~repro.graph.store.Delta`
   are enumerated, by seeding planned searches from each delta item
-  (the engine behind semi-naive fixpoint evaluation);
-* :func:`find_matchings_naive` — the textbook enumeration in a fixed
-  node order with post-hoc edge checks, kept as a correctness oracle
-  and as the baseline of benchmark P2.
+  (the engine behind semi-naive fixpoint evaluation).
 
-All enumerate matchings in a deterministic order.
+Both enumerate matchings in a deterministic order.  The reference
+matchers they are property-tested against live with the other test
+oracles, outside the production import graph (DESIGN.md, "What runs in
+production").
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.instance import Instance
 from repro.core.pattern import NegatedPattern, Pattern
-from repro.graph.store import NO_PRINT, Delta
+from repro.graph.store import Delta
 from repro.plan.cache import plan_for
+from repro.plan.executor import binding_ok as _binding_ok
 from repro.plan.executor import planned_matchings as _planned_matchings
 from repro.plan.executor import seeded_runner
 
@@ -48,83 +43,8 @@ from repro.plan.executor import seeded_runner
 Matching = Dict[int, int]
 
 
-def _base_candidates(pattern: Pattern, instance: Instance, pattern_node: int) -> FrozenSet[int]:
-    """Candidates for one pattern node from labels/prints/predicates only."""
-    record = pattern.node_record(pattern_node)
-    if record.has_print:
-        found = instance.find_printable(record.label, record.print_value)
-        return frozenset() if found is None else frozenset((found,))
-    candidates = instance.nodes_with_label(record.label)
-    predicate = pattern.predicate_of(pattern_node)
-    if predicate is not None:
-        candidates = frozenset(
-            node_id
-            for node_id in candidates
-            if instance.print_of(node_id) is not NO_PRINT and predicate(instance.print_of(node_id))
-        )
-    return candidates
-
-
 def _pattern_edges(pattern: Pattern) -> List[Tuple[int, str, int]]:
     return [edge.as_tuple() for edge in pattern.edges()]
-
-
-def _search_order(
-    pattern: Pattern,
-    instance: Instance,
-    fixed: Sequence[int],
-    base_candidates: Dict[int, FrozenSet[int]],
-) -> List[int]:
-    """Most-constrained-first order, preferring nodes touching placed ones.
-
-    Nodes already placed (``fixed``) come first implicitly; the rest are
-    picked greedily by (not-adjacent-to-placed, candidate-count, id).
-    ``base_candidates`` is the shared per-node candidate table — computed
-    once per :func:`find_matchings` call and reused by the backtracking
-    search, so the label/print/predicate scans run once per pattern node.
-    """
-    remaining = [n for n in pattern.nodes() if n not in fixed]
-    placed = set(fixed)
-    adjacency: Dict[int, set] = {n: set() for n in pattern.nodes()}
-    for source, _, target in _pattern_edges(pattern):
-        adjacency[source].add(target)
-        adjacency[target].add(source)
-    counts = {n: len(base_candidates[n]) for n in remaining}
-
-    # selection key is (not-adjacent-to-placed, count, id); only the
-    # adjacency bit changes as nodes are placed, so one upfront sort of
-    # the static (count, id) part plus a heap of nodes that *became*
-    # adjacent replaces the per-iteration resort — O((V+E) log V)
-    # instead of O(V^2 log V), with an enumeration order identical to
-    # the old repeated-sort selection.
-    static = sorted(remaining, key=lambda n: (counts[n], n))
-    adjacent_heap: List[Tuple[int, int]] = []
-    in_heap: set = set()
-
-    def absorb(node: int) -> None:
-        placed.add(node)
-        for neighbour in adjacency[node]:
-            if neighbour in counts and neighbour not in placed and neighbour not in in_heap:
-                heapq.heappush(adjacent_heap, (counts[neighbour], neighbour))
-                in_heap.add(neighbour)
-
-    for node in fixed:
-        absorb(node)
-    order: List[int] = []
-    pointer = 0
-    for _ in range(len(remaining)):
-        while adjacent_heap and adjacent_heap[0][1] in placed:
-            heapq.heappop(adjacent_heap)
-        if adjacent_heap:
-            _, best = heapq.heappop(adjacent_heap)
-        else:
-            while static[pointer] in placed:
-                pointer += 1
-            best = static[pointer]
-            pointer += 1
-        order.append(best)
-        absorb(best)
-    return order
 
 
 def find_matchings(
@@ -142,108 +62,9 @@ def find_matchings(
     This dispatches to the planner-backed executor (:mod:`repro.plan`):
     the pattern is compiled into a selectivity-ordered index-join plan
     (cached per pattern signature and statistics epoch) and executed
-    against the store's secondary indexes.  The pre-planner matcher is
-    retained as :func:`find_matchings_backtracking`; both enumerate the
-    same matching *set*, each in its own deterministic order.
+    against the store's secondary indexes.
     """
     return _planned_matchings(pattern, instance, fixed)
-
-
-def find_matchings_backtracking(
-    pattern: Pattern,
-    instance: Instance,
-    fixed: Optional[Matching] = None,
-) -> Iterator[Matching]:
-    """The pre-planner production matcher, kept as a reference oracle.
-
-    Backtracking search over per-node base-candidate sets with a
-    most-constrained-first variable order and adjacency-driven
-    pruning.  Unlike the planner path it recomputes every pattern
-    node's base candidates per call and takes no advantage of the
-    edge-label index — which is exactly what the planner benchmarks
-    (``benchmarks/test_bench_planner.py``) quantify.
-    """
-    fixed = dict(fixed or {})
-    for pattern_node, instance_node in fixed.items():
-        if not _binding_ok(pattern, instance, pattern_node, instance_node):
-            return
-    edges = _pattern_edges(pattern)
-    for source, label, target in edges:
-        if source in fixed and target in fixed:
-            if not instance.has_edge(fixed[source], label, fixed[target]):
-                return
-
-    base = {
-        node: _base_candidates(pattern, instance, node)
-        for node in pattern.nodes()
-        if node not in fixed
-    }
-    order = _search_order(pattern, instance, list(fixed), base)
-    out_constraints: Dict[int, List[Tuple[str, int]]] = {n: [] for n in pattern.nodes()}
-    in_constraints: Dict[int, List[Tuple[str, int]]] = {n: [] for n in pattern.nodes()}
-    for source, label, target in edges:
-        # when `source` is placed, target candidates ⊆ out_neighbours
-        out_constraints[target].append((label, source))
-        in_constraints[source].append((label, target))
-
-    assignment: Matching = dict(fixed)
-    records = {node: pattern.node_record(node) for node in pattern.nodes()}
-
-    def node_ok(node: int, candidate: int) -> bool:
-        record = records[node]
-        c_record = instance.node_record(candidate)
-        if c_record.label != record.label:
-            return False
-        if record.has_print and (
-            not c_record.has_print or c_record.print_value != record.print_value
-        ):
-            return False
-        predicate = pattern.predicate_of(node)
-        if predicate is not None:
-            if not c_record.has_print or not predicate(c_record.print_value):
-                return False
-        return True
-
-    def candidates_for(node: int) -> List[int]:
-        # adjacency constraints from already-placed neighbours give
-        # small candidate sets; intersect those first and only fall
-        # back to the (large) by-label index when none applies
-        adjacency: List[FrozenSet[int]] = []
-        for label, source in out_constraints[node]:
-            if source != node and source in assignment:
-                adjacency.append(instance.out_neighbours(assignment[source], label))
-        for label, target in in_constraints[node]:
-            if target != node and target in assignment:
-                adjacency.append(instance.in_neighbours(assignment[target], label))
-        if adjacency:
-            adjacency.sort(key=len)
-            result = set(adjacency[0])
-            for narrower in adjacency[1:]:
-                result &= narrower
-                if not result:
-                    return []
-            result = {c for c in result if node_ok(node, c)}
-        else:
-            result = set(base[node])
-        for label, source in out_constraints[node]:
-            if source == node:
-                # self-loop pattern edge: the candidate must carry the
-                # edge to itself (it is not yet in `assignment` while
-                # its own candidates are being computed)
-                result = {c for c in result if instance.has_edge(c, label, c)}
-        return sorted(result)
-
-    def backtrack(index: int) -> Iterator[Matching]:
-        if index == len(order):
-            yield dict(assignment)
-            return
-        node = order[index]
-        for candidate in candidates_for(node):
-            assignment[node] = candidate
-            yield from backtrack(index + 1)
-            del assignment[node]
-
-    yield from backtrack(0)
 
 
 def find_matchings_delta(
@@ -349,29 +170,6 @@ def find_matchings_delta(
                 yield from emit(run({p_node: node}))
 
 
-def find_matchings_naive(pattern: Pattern, instance: Instance) -> Iterator[Matching]:
-    """Reference matcher: fixed node order, per-node label/print filter,
-    full edge verification at the leaves.  Exponentially slower on
-    large patterns; used as a differential-testing oracle."""
-    nodes = list(pattern.nodes())
-    edges = _pattern_edges(pattern)
-
-    def extend(index: int, assignment: Matching) -> Iterator[Matching]:
-        if index == len(nodes):
-            for source, label, target in edges:
-                if not instance.has_edge(assignment[source], label, assignment[target]):
-                    return
-            yield dict(assignment)
-            return
-        node = nodes[index]
-        for candidate in sorted(_base_candidates(pattern, instance, node)):
-            assignment[node] = candidate
-            yield from extend(index + 1, assignment)
-            del assignment[node]
-
-    yield from extend(0, {})
-
-
 def find_negated(negated: NegatedPattern, instance: Instance) -> Iterator[Matching]:
     """Matchings of a crossed pattern (Fig. 26 semantics).
 
@@ -407,19 +205,3 @@ def match_exists(pattern: Pattern, instance: Instance, fixed: Optional[Matching]
 def count_matchings(pattern: Pattern, instance: Instance) -> int:
     """Number of matchings of ``pattern`` in ``instance``."""
     return sum(1 for _ in find_matchings(pattern, instance))
-
-
-def _binding_ok(pattern: Pattern, instance: Instance, pattern_node: int, instance_node: int) -> bool:
-    if not instance.has_node(instance_node):
-        return False
-    p_record = pattern.node_record(pattern_node)
-    i_record = instance.node_record(instance_node)
-    if p_record.label != i_record.label:
-        return False
-    if p_record.has_print and (not i_record.has_print or p_record.print_value != i_record.print_value):
-        return False
-    predicate = pattern.predicate_of(pattern_node)
-    if predicate is not None:
-        if not i_record.has_print or not predicate(i_record.print_value):
-            return False
-    return True

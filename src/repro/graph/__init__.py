@@ -18,7 +18,6 @@ GOOD operations).  It provides:
 from repro.graph.adjacency import AdjacencyIndex
 from repro.graph.diff import GraphDiff, graph_diff
 from repro.graph.iso import find_isomorphism, isomorphic
-from repro.graph.refstore import ReferenceGraphStore
 from repro.graph.store import NO_PRINT, Delta, Edge, GraphStore, GraphStoreError, NodeRecord
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "GraphStoreError",
     "NO_PRINT",
     "NodeRecord",
-    "ReferenceGraphStore",
     "find_isomorphism",
     "graph_diff",
     "isomorphic",

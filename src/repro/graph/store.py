@@ -39,10 +39,7 @@ duplicate edges).  GOOD-specific constraints live in
 :mod:`repro.core.instance`.  Node identifiers are integers handed out
 by a per-store counter; iteration orders are deterministic (ascending
 ids, lexicographically sorted labels), which makes every operation in
-the reproduction reproducible run-to-run.  The historical dict-backed
-implementation survives as
-:class:`repro.graph.refstore.ReferenceGraphStore`, the oracle of the
-columnar equivalence suite.
+the reproduction reproducible run-to-run.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ dispatches to — it looks the pattern's plan up in the per-store cache
 (compiling on miss) and streams matchings from :func:`execute_plan`.
 The executor enumerates deterministically (sorted candidates at every
 step) and yields exactly the set of label/print/edge-preserving total
-maps — equivalence with the backtracking and naive matchers is
-property-tested.
+maps — equivalence with the backtracking and textbook reference
+matchers is property-tested.
 
 Left-deep plans run on a recursive step interpreter.  Multiway plans
 (:attr:`Plan.strategy` == ``"multiway"``) are *compiled*: the plan is
@@ -66,9 +66,6 @@ Matching = Dict[int, int]
 MAX_COMPILED_RUNNERS = 128
 _runner_cache: "OrderedDict[Plan, Tuple[Any, Dict[str, Any]]]" = OrderedDict()
 
-#: Test hook: set False to force multiway plans through the interpreter.
-_USE_COMPILED_MULTIWAY = True
-
 
 class _NeighbourSets(dict):
     """Lazy ``node -> frozenset`` views over one store adjacency direction.
@@ -112,7 +109,7 @@ def _seed_candidates(pattern: Pattern, instance: Instance, node: int) -> FrozenS
     return candidates
 
 
-def _binding_ok(pattern: Pattern, instance: Instance, pattern_node: int, instance_node: int) -> bool:
+def binding_ok(pattern: Pattern, instance: Instance, pattern_node: int, instance_node: int) -> bool:
     """Whether a pre-bound (pattern node, instance node) pair is legal."""
     if not instance.has_node(instance_node):
         return False
@@ -370,10 +367,10 @@ def seeded_runner(plan: Plan, pattern: Pattern, instance: Instance):
     The factory behind :func:`repro.core.matching.find_matchings_delta`:
     one compiled-runner instantiation (or one interpreter closure) per
     plan, one generator per seed.  Callers must validate the seed
-    bindings themselves (:func:`_binding_ok`) — the runner assumes the
+    bindings themselves (:func:`binding_ok`) — the runner assumes the
     fixed nodes already satisfy their pattern records.
     """
-    if _USE_COMPILED_MULTIWAY and (plan.strategy == "multiway" or plan.fixed):
+    if plan.strategy == "multiway" or plan.fixed:
         runner = _instantiate_runner(plan, pattern, instance)
         if runner is not None:
             return lambda fixed: runner(fixed, None)
@@ -399,13 +396,9 @@ def execute_plan(
     """
     fixed = dict(fixed or {})
     for pattern_node, instance_node in fixed.items():
-        if not _binding_ok(pattern, instance, pattern_node, instance_node):
+        if not binding_ok(pattern, instance, pattern_node, instance_node):
             return iter(())
-    if (
-        _USE_COMPILED_MULTIWAY
-        and (plan.strategy == "multiway" or plan.fixed)
-        and not (fixed and not plan.fixed)
-    ):
+    if (plan.strategy == "multiway" or plan.fixed) and not (fixed and not plan.fixed):
         runner = _instantiate_runner(plan, pattern, instance)
         if runner is not None:
             return runner(fixed, None)

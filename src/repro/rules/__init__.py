@@ -27,7 +27,6 @@ mutually recursive derivations.
 """
 
 from repro.rules.engine import (
-    STRATEGIES,
     FixpointStats,
     RoundStats,
     Rule,
@@ -37,7 +36,6 @@ from repro.rules.engine import (
 )
 
 __all__ = [
-    "STRATEGIES",
     "FixpointStats",
     "RoundStats",
     "Rule",

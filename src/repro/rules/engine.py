@@ -12,7 +12,7 @@ simultaneous fixpoint of its rules, stratum by stratum:
   rule deriving that label — the classical stratification requirement;
   programs with negative cycles raise :class:`StratificationError`.
 
-Evaluation is **semi-naive** by default: the first round of a stratum
+Evaluation is **semi-naive**: the first round of a stratum
 matches every rule against the whole instance while recording the
 additions in a :class:`~repro.graph.store.Delta`; every later round
 matches each rule only against the previous round's delta
@@ -20,12 +20,11 @@ matches each rule only against the previous round's delta
 tracks the size of what is *new* instead of the size of the instance.
 Rules with crossed conditions fall back to full matching each round
 (their negated labels are frozen by stratification, but the fallback
-keeps the semantics trivially right).  ``strategy="naive"`` restores
-the old full-rematch rounds and ``strategy="oracle"`` additionally
-swaps in the textbook matcher — both kept for differential testing and
-the fixpoint benchmarks.  Every run leaves a :class:`FixpointStats` in
-``RuleProgram.last_stats`` (rounds, per-round delta sizes, matchings
-enumerated per discipline) so the semi-naive win is observable.
+keeps the semantics trivially right).  Every run leaves a
+:class:`FixpointStats` in ``RuleProgram.last_stats`` (rounds, per-round
+delta sizes, matchings enumerated per discipline) so the semi-naive win
+is observable; the full-rematch evaluation it is property-tested and
+benchmarked against lives with the other test oracles.
 
 Deletions are deliberately not rule actions: rules describe a least
 model, and the basic language's deletions remain available around rule
@@ -40,12 +39,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, U
 from repro.core import counters as _counters
 from repro.core.errors import GoodError, OperationError
 from repro.core.instance import Instance
-from repro.core.matching import (
-    Matching,
-    find_matchings_delta,
-    find_matchings_naive,
-    match_exists,
-)
+from repro.core.matching import find_matchings_delta
 from repro.core.operations import EdgeAddition, NodeAddition, OperationReport
 from repro.core.pattern import NegatedPattern, Pattern
 from repro.graph.store import Delta
@@ -53,9 +47,6 @@ from repro.plan import plan_for
 from repro.txn import guards as _guards
 
 RuleAction = Union[NodeAddition, EdgeAddition]
-
-#: Supported evaluation strategies (see module docstring).
-STRATEGIES = ("seminaive", "naive", "oracle")
 
 #: A delta-seeded execution costs a small constant per seed; a full
 #: rematch costs a small constant per enumerated matching.  Seeding is
@@ -314,27 +305,16 @@ class RuleProgram:
         self,
         instance: Instance,
         in_place: bool = False,
-        strategy: str = "seminaive",
     ) -> Tuple[Instance, List[OperationReport]]:
         """Derive the stratified fixpoint; return (instance, reports).
 
-        ``strategy`` selects the evaluation discipline (see
-        :data:`STRATEGIES`); all three derive the same fixpoint, which
-        the differential property tests assert on random programs.
         Per-run counters land in :attr:`last_stats`.
         """
-        if strategy not in STRATEGIES:
-            raise OperationError(
-                f"unknown evaluation strategy {strategy!r} (expected one of {STRATEGIES})"
-            )
         working = instance if in_place else instance.copy(scheme=instance.scheme.copy())
         reports: List[OperationReport] = []
-        stats = FixpointStats(strategy=strategy)
+        stats = FixpointStats()
         for index, stratum_rules in enumerate(self.strata()):
-            if strategy == "seminaive":
-                self._run_stratum_seminaive(working, stratum_rules, index, reports, stats)
-            else:
-                self._run_stratum_full(working, stratum_rules, index, reports, stats, strategy)
+            self._run_stratum_seminaive(working, stratum_rules, index, reports, stats)
         _counters.charge(fixpoint_runs=1)
         self.last_stats = stats
         return working, reports
@@ -417,86 +397,12 @@ class RuleProgram:
             if not progress:
                 break
 
-    def _run_stratum_full(
-        self,
-        working: Instance,
-        stratum_rules: List[Rule],
-        stratum_index: int,
-        reports: List[OperationReport],
-        stats: FixpointStats,
-        strategy: str,
-    ) -> None:
-        """Full-rematch rounds (``naive``), optionally with the textbook
-        matcher (``oracle``) — the baselines semi-naive is tested and
-        benchmarked against."""
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > self.max_rounds:
-                raise OperationError(
-                    f"rule fixpoint did not converge within {self.max_rounds} rounds"
-                )
-            progress = False
-            round_matchings = 0
-            nodes_added = 0
-            edges_added = 0
-            for rule in stratum_rules:
-                action = rule.action
-                if strategy == "oracle":
-                    action.extend_scheme(working.scheme)
-                    action.materialize_constants(working)
-                    found = self._oracle_matchings(rule, working)
-                    _guards.charge_matchings(len(found))
-                    _counters.charge(full_matchings=len(found))
-                    report = action.apply(working, matchings=found)
-                else:
-                    report = action.apply(working)
-                reports.append(report)
-                if report.nodes_added or report.edges_added:
-                    progress = True
-                round_matchings += report.matching_count
-                nodes_added += len(report.nodes_added)
-                edges_added += len(report.edges_added)
-            _counters.charge(rounds=1)
-            stats.rounds.append(
-                RoundStats(
-                    stratum=stratum_index,
-                    round=rounds,
-                    mode="full",
-                    delta_in=0,
-                    matchings=round_matchings,
-                    nodes_added=nodes_added,
-                    edges_added=edges_added,
-                )
-            )
-            if not progress:
-                break
-
-    @staticmethod
-    def _oracle_matchings(rule: Rule, instance: Instance) -> List[Matching]:
-        """The rule's matchings via the textbook reference matcher."""
-        source = rule.action.source_pattern
-        if isinstance(source, NegatedPattern):
-            shared = list(source.positive.nodes())
-            found = []
-            for matching in find_matchings_naive(source.positive, instance):
-                fixed = {node: matching[node] for node in shared}
-                blocked = any(
-                    match_exists(extension, instance, fixed=fixed)
-                    for extension in source.extensions
-                )
-                if not blocked:
-                    found.append(matching)
-            return found
-        return list(find_matchings_naive(source, instance))
-
 
 def derive(
     rules: Sequence[Rule],
     instance: Instance,
     in_place: bool = False,
-    strategy: str = "seminaive",
 ) -> Instance:
     """One-call stratified fixpoint evaluation."""
-    result, _ = RuleProgram(rules).run(instance, in_place=in_place, strategy=strategy)
+    result, _ = RuleProgram(rules).run(instance, in_place=in_place)
     return result

@@ -9,7 +9,7 @@ clients at once.
   frames with structured error codes;
 * :mod:`repro.server.catalog`  — named databases, one backend each
   (native / relational / Tarski), import/export via :mod:`repro.io`;
-* :mod:`repro.server.locks`    — per-database reader-writer locks and
+* :mod:`repro.server.locks`    — per-database writer mutexes and
   bounded admission control;
 * :mod:`repro.server.session`  — per-connection verb dispatch with
   per-session resource budgets;
@@ -24,7 +24,7 @@ CLI entry points: ``repro serve`` and ``repro connect``.
 
 from repro.server.catalog import Catalog, CatalogError, ServedDatabase, UnknownDatabaseError
 from repro.server.client import GoodClient, RemoteError
-from repro.server.locks import AdmissionController, AdmissionError, RWLock
+from repro.server.locks import AdmissionController, AdmissionError
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -54,7 +54,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RWLock",
     "RemoteError",
     "ServedDatabase",
     "ServerSession",

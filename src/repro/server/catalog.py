@@ -18,8 +18,8 @@ is implemented as run-then-restore against a snapshot.
 
 :class:`Catalog` is the name -> database directory with create / drop /
 load / save.  It is deliberately synchronous and lock-free: the server
-layer serialises catalog mutations and wraps per-database access in
-reader-writer locks.
+layer serialises catalog mutations and per-database writes; reads run
+against pinned snapshot versions.
 """
 
 from __future__ import annotations

@@ -1,24 +1,16 @@
-"""Concurrency core: per-database locks and admission control.
+"""Concurrency core: the per-database writer mutex and admission control.
 
-The server has two isolation disciplines:
+*Queries* (``MATCH``, ``QUERY``, ``EXPLAIN``, ``BROWSE``, ``EXPORT``,
+``SAVE``) take **no lock at all**: they pin an immutable snapshot
+version (:mod:`repro.mvcc`) and run against it.  Only *program runs*
+and catalog mutations (``RUN``, ``UNDO``, ``CHECKPOINT``, ``CREATE``,
+``DROP``, ``LOAD``) serialize, on the :class:`WriteMutex` — a plain
+writer-only mutex.
 
-* **MVCC** (the default) — *queries* (``MATCH``, ``QUERY``,
-  ``BROWSE``, ``EXPORT``, ``SAVE``) take **no lock at all**: they pin
-  an immutable snapshot version (:mod:`repro.mvcc`) and run against
-  it.  Only *program runs* and catalog mutations (``RUN``, ``UNDO``,
-  ``CREATE``, ``DROP``, ``LOAD``) serialize, on the
-  :class:`WriteMutex` — a plain writer-only mutex.
-* **legacy locked** (``mvcc=False``) — the original :class:`RWLock`
-  discipline: queries share a read lock, writers exclude everyone.
-
-Either way no client can observe a torn intermediate state: an atomic
-run only ever commits or fully rolls back (the :mod:`repro.txn`
-guarantee), and a version is only published *after* a commit
-completes, under the writer's lock.
-
-:class:`RWLock` is writer-preferring: once a writer is waiting, new
-readers queue behind it, so a steady stream of cheap queries cannot
-starve updates.
+No client can observe a torn intermediate state: an atomic run only
+ever commits or fully rolls back (the :mod:`repro.txn` guarantee), and
+a version is only published *after* a commit completes, under the
+writer's mutex.
 
 :class:`AdmissionController` bounds the work the server accepts: at
 most ``max_concurrent`` requests execute at once, at most ``max_queue``
@@ -44,77 +36,11 @@ class AdmissionError(GoodError):
 register_error_code(AdmissionError, "OVERLOADED")
 
 
-class RWLock:
-    """An asyncio many-readers / one-writer lock, writer-preferring."""
-
-    def __init__(self) -> None:
-        self._cond = asyncio.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    async def acquire_read(self) -> None:
-        async with self._cond:
-            while self._writer_active or self._writers_waiting:
-                await self._cond.wait()
-            self._readers += 1
-
-    async def release_read(self) -> None:
-        async with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    async def acquire_write(self) -> None:
-        async with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    await self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-
-    async def release_write(self) -> None:
-        async with self._cond:
-            self._writer_active = False
-            self._cond.notify_all()
-
-    @asynccontextmanager
-    async def read_locked(self, timeout: Optional[float] = None) -> AsyncIterator[None]:
-        """Hold a read lock for the block; ``timeout`` bounds the wait."""
-        await _acquire(self.acquire_read(), timeout, "read")
-        try:
-            yield
-        finally:
-            await self.release_read()
-
-    @asynccontextmanager
-    async def write_locked(self, timeout: Optional[float] = None) -> AsyncIterator[None]:
-        """Hold the write lock for the block; ``timeout`` bounds the wait."""
-        await _acquire(self.acquire_write(), timeout, "write")
-        try:
-            yield
-        finally:
-            await self.release_write()
-
-    @property
-    def state(self) -> str:
-        """Debugging/stats snapshot: ``idle``, ``Nr`` or ``w``."""
-        if self._writer_active:
-            return "w"
-        if self._readers:
-            return f"{self._readers}r"
-        return "idle"
-
-
 class WriteMutex:
-    """MVCC mode's per-database lock: writers exclusive, readers absent.
+    """The per-database lock: writers exclusive, readers absent.
 
-    Exposes the same ``write_locked`` / ``state`` surface as
-    :class:`RWLock` so the catalog and write paths are mode-agnostic;
-    there is deliberately no ``read_locked`` — under MVCC a read that
-    asks for a lock is a bug, and it fails loudly here.
+    There is deliberately no ``read_locked`` — a read that asks for a
+    lock is a bug, and it fails loudly here.
     """
 
     def __init__(self) -> None:
@@ -123,7 +49,7 @@ class WriteMutex:
     @asynccontextmanager
     async def write_locked(self, timeout: Optional[float] = None) -> AsyncIterator[None]:
         """Hold the writer mutex for the block; ``timeout`` bounds the wait."""
-        await _acquire(self._lock.acquire(), timeout, "write")
+        await _acquire(self._lock.acquire(), timeout)
         try:
             yield
         finally:
@@ -135,7 +61,7 @@ class WriteMutex:
         return "w" if self._lock.locked() else "idle"
 
 
-async def _acquire(waiter, timeout: Optional[float], mode: str) -> None:
+async def _acquire(waiter, timeout: Optional[float]) -> None:
     if timeout is None:
         await waiter
         return
@@ -143,7 +69,7 @@ async def _acquire(waiter, timeout: Optional[float], mode: str) -> None:
         await asyncio.wait_for(waiter, timeout)
     except asyncio.TimeoutError:
         raise TimeoutError(
-            f"timed out after {timeout:g}s waiting for the {mode} lock"
+            f"timed out after {timeout:g}s waiting for the write lock"
         ) from None
 
 

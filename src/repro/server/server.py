@@ -3,20 +3,19 @@
 :class:`GoodServer` accepts newline-delimited JSON frames
 (:mod:`repro.server.protocol`), admits each request through the bounded
 :class:`~repro.server.locks.AdmissionController`, dispatches it via the
-connection's :class:`~repro.server.session.ServerSession` (which takes
-the per-database reader-writer lock) and runs the actual GOOD work on a
-thread pool so concurrent readers make progress while the event loop
-keeps accepting connections.
+connection's :class:`~repro.server.session.ServerSession` (which pins
+a snapshot for reads and takes the per-database writer mutex for
+writes) and runs the actual GOOD work on a thread pool so concurrent
+readers make progress while the event loop keeps accepting connections.
 
 Isolation argument, in one paragraph: writers hold the database's
-exclusive lock for the whole atomic run and publish an immutable
-snapshot version only after the commit completes; readers pin a
-published version and never touch a lock (MVCC, the default) or hold
-the shared side of an :class:`~repro.server.locks.RWLock`
-(``mvcc=False``).  Either way the :mod:`repro.txn` layer guarantees a
-failed run restores the exact pre-run state before the write lock is
-released — so every reader observes either the pre-run or the
-post-commit state, never a torn intermediate one.
+:class:`~repro.server.locks.WriteMutex` for the whole atomic run and
+publish an immutable snapshot version only after the commit completes;
+readers pin a published version and never touch a lock.  The
+:mod:`repro.txn` layer guarantees a failed run restores the exact
+pre-run state before the mutex is released — so every reader observes
+either the pre-run or the post-commit state, never a torn intermediate
+one.
 
 :class:`BackgroundServer` runs a :class:`GoodServer` on its own event
 loop in a daemon thread — the harness tests, benchmarks and
@@ -32,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.server.catalog import Catalog
-from repro.server.locks import AdmissionController, RWLock, WriteMutex
+from repro.server.locks import AdmissionController, WriteMutex
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -68,12 +67,10 @@ class GoodServer:
         lock_timeout: float = 30.0,
         default_limits: Optional[ResourceLimits] = None,
         ring_capacity: int = 1024,
-        mvcc: bool = True,
     ) -> None:
         self.catalog = catalog if catalog is not None else Catalog()
         self.host = host
         self.port = port
-        self.mvcc = mvcc
         self.max_concurrent = max_concurrent
         self.max_queue = max_queue
         self.max_workers = max_workers if max_workers is not None else max_concurrent
@@ -85,7 +82,7 @@ class GoodServer:
         # serving loop (pre-3.10 primitives capture a loop at creation)
         self.admission: Optional[AdmissionController] = None
         self.catalog_lock: Optional[asyncio.Lock] = None
-        self._locks: Dict[str, Any] = {}
+        self._locks: Dict[str, WriteMutex] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
 
@@ -131,12 +128,11 @@ class GoodServer:
     # ------------------------------------------------------------------
     # session plumbing
     # ------------------------------------------------------------------
-    def lock_for(self, name: str) -> Any:
-        """The (lazily created) per-database lock: a writer-only
-        :class:`WriteMutex` under MVCC, a full :class:`RWLock` otherwise."""
+    def lock_for(self, name: str) -> WriteMutex:
+        """The (lazily created) per-database writer mutex."""
         lock = self._locks.get(name)
         if lock is None:
-            lock = self._locks[name] = WriteMutex() if self.mvcc else RWLock()
+            lock = self._locks[name] = WriteMutex()
         return lock
 
     async def run_blocking(
@@ -166,7 +162,6 @@ class GoodServer:
             running=admission.running if admission else 0,
             raw=raw,
         )
-        payload["mvcc"] = self.mvcc
         for name in self.catalog.names():
             try:
                 database = self.catalog.get(name)

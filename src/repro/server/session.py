@@ -9,15 +9,15 @@ right concurrency discipline:
 mode      lock                runs where
 ========  ==================  ==================================
 local     none                event loop (cheap, metadata only)
-read      none (MVCC) /       worker thread, budgets armed,
-          read (legacy)       against a pinned snapshot version
+read      none                worker thread, budgets armed,
+                              against a pinned snapshot version
 write     write               worker thread, budgets armed
 catalog   catalog mutex +     worker thread
           database write
 ========  ==================  ==================================
 
-Under MVCC (the server default) a read verb never waits for any lock:
-it pins the database's current published version
+A read verb never waits for any lock: it pins the database's current
+published version
 (:meth:`~repro.server.catalog.ServedDatabase.read_view`) and executes
 against that immutable snapshot, releasing the pin when done.  A RUN
 committing concurrently publishes a *new* version; the in-flight read
@@ -134,20 +134,26 @@ class ServerSession:
             return handler(args), self.database_name
         if mode == "catalog":
             name = require_arg(args, "name", str)
+            wait_started = time.perf_counter()
             async with server.catalog_lock:
                 async with server.lock_for(name).write_locked(server.lock_timeout):
+                    # a database that does not exist (yet) gets no stats
+                    # bucket: the wait still counts towards the totals
+                    server.stats.record_lock_wait(
+                        name if name in self.catalog else None,
+                        time.perf_counter() - wait_started,
+                    )
                     result = await server.run_blocking(lambda: handler(args))
-        elif mode == "read" and server.mvcc:
+        elif mode == "read":
             name = args.get("db", self.database_name)
             if not isinstance(name, str) or not name:
                 raise ProtocolError("no database selected (USE one first or pass 'db')")
             limits = self._request_limits(args)
             database = self.catalog.get(name)
-            # MVCC fast path: pin the current version and run against
-            # it — no lock of any kind, so a long query never delays a
-            # writer (and vice versa)
+            # pin the current version and run against it — no lock of
+            # any kind, so a long query never delays a writer (and vice
+            # versa)
             reader = database.read_view()
-            server.stats.record_lock_wait(name, 0.0)
             try:
                 result = await server.run_blocking(
                     lambda: handler(reader, args), limits=limits
@@ -165,16 +171,10 @@ class ServerSession:
                 raise ProtocolError("no database selected (USE one first or pass 'db')")
             limits = self._request_limits(args)
             database = self.catalog.get(name)
-            lock = server.lock_for(name)
-            locked = (
-                lock.read_locked(server.lock_timeout)
-                if mode == "read"
-                else lock.write_locked(server.lock_timeout)
-            )
             ticket = None
             checkpoint_job = None
             wait_started = time.perf_counter()
-            async with locked:
+            async with server.lock_for(name).write_locked(server.lock_timeout):
                 server.stats.record_lock_wait(name, time.perf_counter() - wait_started)
                 try:
                     result = await server.run_blocking(

@@ -135,9 +135,9 @@ class DatabaseStats:
         self.recoveries = 0
         self.wal_torn = 0
         self.latency = LatencyRing(ring_capacity)
-        # how long requests waited to *enter* the database's lock; under
-        # MVCC reads record a literal 0.0 (they never take a lock), so
-        # this window directly shows what the writer-only mutex costs
+        # how long write and catalog verbs waited to *enter* the
+        # database's writer mutex; reads never take a lock and record
+        # nothing here
         self.lock_waits = LatencyRing(ring_capacity)
 
     def record_request(self, seconds: float, error: bool = False) -> None:

@@ -7,8 +7,8 @@ native instance and on both storage engines:
 * :mod:`repro.txn.snapshot` — the duck-typed capture/restore protocol
   transactional targets implement;
 * :mod:`repro.txn.journal` — O(changes) undo journals: O(1) begin and
-  savepoints, rollback by reverse replay (the default protocol for the
-  built-in targets; snapshots remain the fallback and the oracle);
+  savepoints, rollback by reverse replay (the protocol
+  :class:`Transaction` runs on);
 * :mod:`repro.txn.transaction` — :class:`Transaction` /
   :class:`Savepoint` with ``commit`` / ``rollback`` / ``rollback_to``,
   structured :class:`FailureReport`\\ s, and the shared

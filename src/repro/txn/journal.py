@@ -20,12 +20,11 @@ An *undo journal* replaces all three with O(changes) bookkeeping:
   through the target's normal mutators where the target has them, so
   indexes, cached views and any *outer* journals observe the replay.
 
-Targets opt in through two extra duck-typed hooks next to the snapshot
+Targets take part through two duck-typed hooks next to the snapshot
 protocol: ``begin_journal() -> journal`` and
-``rollback_journal(journal, mark) -> None``.  Targets without the hooks
-keep using full snapshots — the fallback doubles as the equivalence
-oracle for the journal implementation (see
-``tests/property/test_journal_equivalence.py``).
+``rollback_journal(journal, mark) -> None``.  A full-copy transaction
+built on the snapshot hooks is the equivalence oracle for the journal
+implementation (see ``tests/property/test_journal_equivalence.py``).
 
 Journal entries are tagged tuples; the tag vocabulary per target lives
 in the matching :class:`UndoJournal` subclass below.  Scheme changes
@@ -483,7 +482,7 @@ class TarskiJournal(UndoJournal):
 
 
 def supports_journal(target: Any) -> bool:
-    """Whether ``target`` opts into the undo-journal protocol."""
+    """Whether ``target`` implements the undo-journal hooks."""
     return callable(getattr(target, "begin_journal", None)) and callable(
         getattr(target, "rollback_journal", None)
     )

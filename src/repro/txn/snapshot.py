@@ -1,8 +1,9 @@
 """Snapshot capture/restore over any transactional target.
 
 The transaction layer is generic over *targets* — objects holding one
-GOOD database state.  A target participates by exposing four hooks
-(duck-typed, no registration needed):
+GOOD database state.  A target exposes four hooks (duck-typed, no
+registration needed); query-mode runs on a live engine and every
+:class:`~repro.txn.transaction.FailureReport` are built on them:
 
 * ``capture_state() -> object`` — an opaque, self-contained snapshot of
   the full state (scheme included).  Capturing must not alias mutable
@@ -10,8 +11,7 @@ GOOD database state.  A target participates by exposing four hooks
 * ``restore_state(state) -> None`` — reinstall a captured snapshot.
   Restoring **consumes** the snapshot: the captured store is installed
   directly (no second copy), so restoring the same snapshot twice
-  raises.  Callers that need to restore a state repeatedly — savepoint
-  reuse in :class:`~repro.txn.transaction.Transaction` — re-capture
+  raises.  Callers that need to restore a state repeatedly re-capture
   after restoring.  The *scheme object held by callers at capture
   time* is restored in place where possible, so patterns and sessions
   pointing at it see the rollback;
@@ -22,11 +22,10 @@ GOOD database state.  A target participates by exposing four hooks
 
 :class:`~repro.core.instance.Instance`,
 :class:`~repro.storage.engine.RelationalEngine` and
-:class:`~repro.tarski.engine.TarskiEngine` all implement the hooks.
-Targets may additionally opt into the O(changes) undo-journal protocol
-(``begin_journal``/``rollback_journal``) — see :mod:`repro.txn.journal`;
-the snapshot protocol stays as the universal fallback and as the
-equivalence oracle for journals.
+:class:`~repro.tarski.engine.TarskiEngine` all implement the hooks,
+and the O(changes) undo-journal hooks
+(``begin_journal``/``rollback_journal``, see :mod:`repro.txn.journal`)
+that :class:`~repro.txn.transaction.Transaction` runs on.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 Section 3.2 defines a run-time failure mode (the undefined edge
 addition), and a failed operation mid-program would otherwise leave the
 database partially transformed.  :class:`Transaction` provides the
-crash-consistency discipline: it snapshots a transactional *target* (a
-native :class:`~repro.core.instance.Instance` or either storage engine
-— see :mod:`repro.txn.snapshot` for the protocol) at begin, supports
-named :class:`Savepoint`\\ s, and restores the exact pre-transaction
-state — scheme included — on ``rollback``.
+crash-consistency discipline: it attaches an undo journal to a
+transactional *target* (a native :class:`~repro.core.instance.Instance`
+or either storage engine — see :mod:`repro.txn.journal` for the hooks)
+at begin, supports named :class:`Savepoint`\\ s, and restores the exact
+pre-transaction state — scheme included — on ``rollback``.
 
 Used as a context manager, an exception anywhere inside the block
 triggers an automatic rollback (and re-raises, with the
@@ -17,10 +17,10 @@ triggers an automatic rollback (and re-raises, with the
     with Transaction(db):
         program.run(db, in_place=True, atomic=False)
 
-Targets that implement the undo-journal hooks (all three built-in
-targets do — see :mod:`repro.txn.journal`) get O(1) begin/savepoint and
-O(changes) rollback; ``Transaction(target, use_journal=False)`` forces
-the full-snapshot protocol, which doubles as the equivalence oracle.
+Begin and savepoints are O(1), rollback is O(changes).  A target
+without the journal hooks is refused at begin with
+:class:`~repro.core.errors.TransactionError` (all three built-in
+targets have them).
 
 :func:`atomic_run` is the shared all-or-nothing driver the program and
 engine runners build on: it applies a sequence of operations inside a
@@ -37,7 +37,7 @@ from repro.core.counters import charge as _charge
 from repro.core.errors import TransactionError
 from repro.txn import faults
 from repro.txn.journal import EST_BYTES_PER_ITEM, supports_journal
-from repro.txn.snapshot import capture, restore, summarize
+from repro.txn.snapshot import summarize
 
 ACTIVE = "active"
 COMMITTED = "committed"
@@ -77,23 +77,12 @@ class FailureReport:
 
 
 class Savepoint:
-    """A named intermediate rollback anchor inside an active transaction.
+    """A named intermediate rollback anchor inside an active transaction:
+    an O(1) journal watermark (``_mark``)."""
 
-    Under the journal protocol a savepoint is an O(1) watermark
-    (``_mark``); under the snapshot protocol it holds a full state copy
-    (``_state``).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        sequence: int,
-        state: Any = None,
-        mark: Any = None,
-    ) -> None:
+    def __init__(self, name: str, sequence: int, mark: Any) -> None:
         self.name = name
         self.sequence = sequence
-        self._state = state
         self._mark = mark
         self.released = False
 
@@ -105,38 +94,24 @@ class Savepoint:
 class Transaction:
     """All-or-nothing mutation of one transactional target.
 
-    When the target implements the undo-journal hooks (and
-    ``use_journal`` is left on), begin attaches an O(1) journal instead
-    of copying the full state, savepoints are O(1) watermarks, and
-    rollback reverse-replays only the journalled changes.  Otherwise
-    the full-snapshot protocol of :mod:`repro.txn.snapshot` is used.
+    Begin attaches an O(1) undo journal to the target, savepoints are
+    O(1) watermarks, and rollback reverse-replays only the journalled
+    changes.
     """
 
-    def __init__(
-        self,
-        target: Any,
-        name: Optional[str] = None,
-        use_journal: bool = True,
-    ) -> None:
+    def __init__(self, target: Any, name: Optional[str] = None) -> None:
+        if not supports_journal(target):
+            raise TransactionError(
+                f"{type(target).__name__} is not a transactional target "
+                "(missing hooks: begin_journal/rollback_journal)"
+            )
         self.target = target
         self.name = name if name is not None else f"txn@{id(target):x}"
         self.status = ACTIVE
         self.failure_report: Optional[FailureReport] = None
         self._savepoints: List[Savepoint] = []
         self._savepoint_counter = 0
-        if use_journal and supports_journal(target):
-            self._journal = target.begin_journal()
-            self._begin = None
-            self._begin_scheme = None
-        else:
-            self._journal = None
-            self._begin = capture(target)
-            self._begin_scheme = target.scheme.copy()
-
-    @property
-    def uses_journal(self) -> bool:
-        """Whether this transaction runs on the undo-journal protocol."""
-        return self._journal is not None
+        self._journal = target.begin_journal()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -153,12 +128,10 @@ class Transaction:
     def commit(self) -> None:
         """Keep all changes; the transaction (and its savepoints) end."""
         self._require_active("commit")
-        if self._journal is not None:
-            _charge(txn_journal_entries=self._journal.entries_recorded)
-            self._journal.close()
-            self._journal = None
+        _charge(txn_journal_entries=self._journal.entries_recorded)
+        self._journal.close()
+        self._journal = None
         self.status = COMMITTED
-        self._begin = None
         self._savepoints.clear()
 
     def rollback(
@@ -178,29 +151,23 @@ class Transaction:
         self._require_active("roll back")
         dirty_nodes, dirty_edges = summarize(self.target)
         _charge(txn_rollbacks=1)
-        if self._journal is not None:
-            scheme_dirty = self._journal.scheme_dirty()
-            self.target.rollback_journal(self._journal, self._journal.begin_mark)
-            clean_nodes, clean_edges = summarize(self.target)
-            # what a snapshot-protocol rollback would have copied twice
-            # (capture at begin + restore) and this one never touched
-            _charge(
-                txn_journal_entries=self._journal.entries_recorded,
-                txn_bytes_avoided=EST_BYTES_PER_ITEM * (clean_nodes + clean_edges),
-            )
-            self._journal.close()
-            self._journal = None
-        else:
-            scheme_dirty = self.target.scheme != self._begin_scheme
-            restore(self.target, self._begin)
-            clean_nodes, clean_edges = summarize(self.target)
+        scheme_dirty = self._journal.scheme_dirty()
+        self.target.rollback_journal(self._journal, self._journal.begin_mark)
+        clean_nodes, clean_edges = summarize(self.target)
+        # what a full-copy rollback would have copied twice (capture at
+        # begin + restore) and this one never touched
+        _charge(
+            txn_journal_entries=self._journal.entries_recorded,
+            txn_bytes_avoided=EST_BYTES_PER_ITEM * (clean_nodes + clean_edges),
+        )
+        self._journal.close()
+        self._journal = None
         invariants_ok = True
         try:
             self.target.check_invariants()
         except Exception:  # the report records the violation; no mask
             invariants_ok = False
         self.status = ROLLED_BACK
-        self._begin = None
         self._savepoints.clear()
         self.failure_report = FailureReport(
             failed_index=failed_index,
@@ -219,15 +186,11 @@ class Transaction:
     # savepoints
     # ------------------------------------------------------------------
     def savepoint(self, name: Optional[str] = None) -> Savepoint:
-        """Anchor the current state: an O(1) journal watermark, or a
-        full snapshot on the fallback protocol."""
+        """Anchor the current state: an O(1) journal watermark."""
         self._require_active("create a savepoint")
         self._savepoint_counter += 1
         label = name if name is not None else f"sp{self._savepoint_counter}"
-        if self._journal is not None:
-            point = Savepoint(label, self._savepoint_counter, mark=self._journal.mark())
-        else:
-            point = Savepoint(label, self._savepoint_counter, state=capture(self.target))
+        point = Savepoint(label, self._savepoint_counter, self._journal.mark())
         self._savepoints.append(point)
         return point
 
@@ -249,13 +212,7 @@ class Transaction:
         self._require_active("roll back to a savepoint")
         index = self._find(savepoint)
         _charge(txn_rollbacks=1)
-        if self._journal is not None:
-            self.target.rollback_journal(self._journal, savepoint._mark)
-        else:
-            restore(self.target, savepoint._state)
-            # restoring consumed the snapshot; re-capture so the
-            # savepoint can be rolled back to again
-            savepoint._state = capture(self.target)
+        self.target.rollback_journal(self._journal, savepoint._mark)
         for stale in self._savepoints[index + 1 :]:
             stale.released = True
         del self._savepoints[index + 1 :]

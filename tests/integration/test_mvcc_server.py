@@ -2,10 +2,10 @@
 
 Two contracts beyond what ``test_server.py`` already covers:
 
-* **no read lock** — under MVCC every query verb (``MATCH``, ``QUERY``,
+* **no read lock** — every query verb (``MATCH``, ``QUERY``,
   ``BROWSE``, ``EXPORT``, ``SAVE``) runs without acquiring *any* lock:
-  the instrumented lock classes observe zero acquisitions across all
-  five verbs;
+  the instrumented :class:`WriteMutex` observes zero acquisitions
+  across all five verbs;
 * **liveness** — a deliberately slow ``MATCH`` (a three-variable join
   over an all-knowing clique, ~216k matchings) overlaps 50 commits and
   neither side waits for the other: the commits finish while the MATCH
@@ -22,8 +22,9 @@ from contextlib import asynccontextmanager
 import pytest
 
 from repro.core import Instance, Scheme
+from repro.io import scheme_to_json
 from repro.server import BackgroundServer, Catalog, GoodClient, GoodServer
-from repro.server.locks import RWLock, WriteMutex
+from repro.server.locks import WriteMutex
 
 
 def people_scheme() -> Scheme:
@@ -55,23 +56,11 @@ def test_mvcc_server_uses_writer_only_mutex(served):
     assert not hasattr(lock, "read_locked")
 
 
-def test_no_mvcc_server_keeps_rwlock():
-    server = GoodServer(Catalog(), mvcc=False)
-    assert isinstance(server.lock_for("people"), RWLock)
-
-
 def test_read_verbs_acquire_no_lock(served, monkeypatch, tmp_path):
     """The acceptance assertion: all five query verbs run without a
-    single lock acquisition of either kind."""
+    single acquisition of the only lock there is."""
     server, _, _ = served
-    read_acquisitions: list = []
     write_acquisitions: list = []
-
-    original_read = RWLock.acquire_read
-
-    async def counting_read(self):
-        read_acquisitions.append(1)
-        await original_read(self)
 
     original_write = WriteMutex.write_locked
 
@@ -81,7 +70,6 @@ def test_read_verbs_acquire_no_lock(served, monkeypatch, tmp_path):
         async with original_write(self, timeout):
             yield
 
-    monkeypatch.setattr(RWLock, "acquire_read", counting_read)
     monkeypatch.setattr(WriteMutex, "write_locked", counting_write)
 
     with connect(served) as client:
@@ -95,7 +83,6 @@ def test_read_verbs_acquire_no_lock(served, monkeypatch, tmp_path):
         client.browse(person, hops=1)
         client.export()
         client.save(str(tmp_path / "people.json"))
-        assert read_acquisitions == []
         assert write_acquisitions == []
 
 
@@ -105,17 +92,20 @@ def test_stats_surface_snapshot_and_lock_wait_counters(served):
         client.use("people")
         client.run('addnode Person(name -> n) { n: String = "ada" }')
         client.match("{ p: Person }")
+        client.query('addnode Person(name -> n) { n: String = "eve" }')
+        client.create("scratch", scheme=scheme_to_json(people_scheme()))
         stats = client.stats()
-    assert stats["mvcc"] is True
+    assert "mvcc" not in stats  # the flag went with the mode it reported
     bucket = stats["databases"]["people"]
     snapshots = bucket["snapshots"]
     assert snapshots["versions_published"] >= 2  # initial + the RUN
     assert snapshots["version_chain_length"] == 1  # nothing pinned now
     assert snapshots["snapshots_pinned"] == 0
     assert "versions_gced" in snapshots and "snapshot_bytes_shared" in snapshots
-    # the RUN and the MATCH both recorded a lock wait (0.0 for the read)
-    assert bucket["lock_wait"]["samples"] >= 2
-    assert stats["total"]["lock_wait"]["samples"] >= 2
+    # one sample per verb that took the write mutex: the RUN on this
+    # database, plus the CREATE in the totals; the reads record nothing
+    assert bucket["lock_wait"]["samples"] == 1
+    assert stats["total"]["lock_wait"]["samples"] == 2
 
 
 def test_long_match_overlaps_fifty_commits(served):
@@ -166,8 +156,8 @@ def test_long_match_overlaps_fifty_commits(served):
     # snapshot consistency: every triple over the pin-time clique, no
     # torn count from the 50 concurrent commits
     assert outcome["found"]["total"] == n**3
-    # liveness: the writers were not queued behind the reader — under
-    # the legacy RWLock all 50 commits would finish after the MATCH
+    # liveness: the writers were not queued behind the reader (a
+    # reader-writer lock would finish all 50 commits after the MATCH)
     commits_before_match_answered = sum(
         1 for finished in commit_times if finished < outcome["done_at"]
     )

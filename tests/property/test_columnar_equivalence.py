@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.graph import NO_PRINT, GraphStore, GraphStoreError, ReferenceGraphStore
+from repro.graph import NO_PRINT, GraphStore, GraphStoreError
+from repro.testing import ReferenceGraphStore
 
 SETTINGS = settings(max_examples=40, stateful_step_count=60, deadline=None)
 

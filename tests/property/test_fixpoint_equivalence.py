@@ -1,10 +1,11 @@
-"""Differential property tests: the three fixpoint strategies agree.
+"""Differential property tests: semi-naive agrees with its references.
 
 For random stratified rule programs over random link graphs, the
-semi-naive engine, the naive full-rematch engine and the oracle (full
-rematch with the textbook matcher) must derive the same instance — the
-same node and edge sets up to renaming of newly created oids, which
-:func:`repro.graph.isomorphic` decides exactly.
+semi-naive engine, the naive full-rematch loop and the oracle (full
+rematch with the textbook matcher; both in :mod:`repro.testing.fixpoint`)
+must derive the same instance — the same node and edge sets up to
+renaming of newly created oids, which :func:`repro.graph.isomorphic`
+decides exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.graph import isomorphic
 from repro.hypermedia import build_scheme
 from repro.rules import RuleProgram
+from repro.testing import run_naive, run_oracle
 from repro.workloads import chain_instance, random_rule_program, scale_free_instance
 
 from tests.property.strategies import seeds
@@ -55,7 +57,7 @@ def rule_workloads(draw):
 def test_seminaive_equals_naive(data):
     instance, program = data
     semi, _ = program.run(instance)
-    naive, _ = program.run(instance, strategy="naive")
+    naive, _, _ = run_naive(program, instance)
     assert isomorphic(semi.store, naive.store)
 
 
@@ -64,7 +66,7 @@ def test_seminaive_equals_naive(data):
 def test_seminaive_equals_oracle(data):
     instance, program = data
     semi, _ = program.run(instance)
-    oracle, _ = program.run(instance, strategy="oracle")
+    oracle, _, _ = run_oracle(program, instance)
     assert isomorphic(semi.store, oracle.store)
 
 
@@ -75,8 +77,8 @@ def test_seminaive_never_does_more_work(data):
     instance, program = data
     program.run(instance)
     semi_work = program.last_stats.matchings_enumerated
-    program.run(instance, strategy="naive")
-    naive_work = program.last_stats.matchings_enumerated
+    _, _, naive_stats = run_naive(program, instance)
+    naive_work = naive_stats.matchings_enumerated
     assert semi_work <= naive_work
 
 

@@ -5,8 +5,9 @@ reinstalls a full copy.  For random (instance, program) pairs and a
 random fault point, running the same failing program on two identical
 targets — one under each protocol — must leave both holding
 graph-isomorphic stores and equal schemes, both identical to the
-pre-run state.  The snapshot protocol is the oracle certifying the
-journal implementation.
+pre-run state.  The snapshot protocol
+(:class:`repro.testing.SnapshotTransaction`) is the oracle certifying
+the journal implementation.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.errors import BackendError, EdgeConflictError
 from repro.graph import isomorphic
 from repro.storage import RelationalEngine
 from repro.tarski import TarskiEngine
+from repro.testing import SnapshotTransaction
 from repro.txn import Transaction, faults, inject
 
 from tests.property.strategies import instances_with_programs
@@ -37,13 +39,12 @@ def programs_with_fault_points(draw, max_operations: int = 6):
     return scheme, instance, operations, fault_index, when
 
 
-def _fail_and_roll_back(target, run, use_journal, error_type, fault_index, when):
+def _fail_and_roll_back(target, run, protocol, error_type, fault_index, when):
     """Run ``run`` to the injected fault inside a transaction; the
     context manager performs the rollback under the chosen protocol."""
     with inject(error_type, at_operation=fault_index, when=when) as injector:
         with pytest.raises(error_type):
-            with Transaction(target, use_journal=use_journal) as txn:
-                assert txn.uses_journal is use_journal
+            with protocol(target):
                 run()
     assert injector.fired
 
@@ -54,11 +55,11 @@ def test_native_journal_rollback_matches_snapshot_oracle(data):
     scheme, instance, operations, fault_index, when = data
     by_journal = instance.copy(scheme=instance.scheme.copy())
     by_snapshot = instance.copy(scheme=instance.scheme.copy())
-    for target, use_journal in ((by_journal, True), (by_snapshot, False)):
+    for target, protocol in ((by_journal, Transaction), (by_snapshot, SnapshotTransaction)):
         _fail_and_roll_back(
             target,
             lambda: Program(list(operations)).run(target, in_place=True, atomic=False),
-            use_journal,
+            protocol,
             EdgeConflictError,
             fault_index,
             when,
@@ -76,11 +77,11 @@ def test_engine_journal_rollback_matches_snapshot_oracle(engine_cls, data):
     scheme, instance, operations, fault_index, when = data
     by_journal = engine_cls.from_instance(instance)
     by_snapshot = engine_cls.from_instance(instance)
-    for engine, use_journal in ((by_journal, True), (by_snapshot, False)):
+    for engine, protocol in ((by_journal, Transaction), (by_snapshot, SnapshotTransaction)):
         _fail_and_roll_back(
             engine,
             lambda: engine.run(operations, atomic=False),
-            use_journal,
+            protocol,
             BackendError,
             fault_index,
             when,

@@ -3,8 +3,9 @@ total maps, and the optimized matcher equals the naive oracle."""
 
 from hypothesis import given, settings
 
-from repro.core import find_matchings, find_matchings_naive
+from repro.core import find_matchings
 from repro.graph.store import NO_PRINT
+from repro.testing import find_matchings_naive
 
 from tests.property.strategies import instances_with_patterns
 

@@ -16,8 +16,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import find_matchings_backtracking, find_matchings_naive
 from repro.plan import compile_plan, execute_plan, plan_for, planned_matchings
+from repro.testing import find_matchings_backtracking, find_matchings_naive
 
 from tests.property.strategies import instances_with_patterns, seeds
 

@@ -21,13 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Instance, Pattern, Scheme
-from repro.core.matching import (
-    find_matchings,
-    find_matchings_backtracking,
-    find_matchings_delta,
-)
+from repro.core.matching import find_matchings, find_matchings_delta
 from repro.plan import compile_plan, execute_plan
 from repro.plan import executor as executor_module
+from repro.testing import find_matchings_backtracking
 
 SETTINGS = settings(max_examples=50, deadline=None)
 

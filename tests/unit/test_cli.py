@@ -272,6 +272,18 @@ def test_serve_parser_wiring():
     assert args.max_call_depth is None
 
 
+def test_removed_no_mvcc_flag_is_rejected(capsys):
+    from repro.cluster.worker import worker_main
+
+    with pytest.raises(SystemExit) as serve_exit:
+        main(["serve", "--no-mvcc"])
+    assert serve_exit.value.code == 2
+    with pytest.raises(SystemExit) as worker_exit:
+        worker_main(["--data-dir", "unused", "--no-mvcc"])
+    assert worker_exit.value.code == 2
+    assert "--no-mvcc" in capsys.readouterr().err
+
+
 def test_serve_rejects_bad_db_spec(capsys):
     assert main(["serve", "--db", "no-equals-sign"]) == 1
     assert "NAME=FILE" in capsys.readouterr().err
@@ -314,7 +326,7 @@ def test_connect_piped_session(tmp_path, capsys, monkeypatch):
     assert "13 matchings" in out
     assert "database now:" in out
     # :stats renders the nested payload instead of dumping JSON
-    assert "isolation: mvcc" in out
+    assert "uptime" in out
     assert "database hyper:" in out
     assert "snapshots:" in out
     assert "lock wait:" in out

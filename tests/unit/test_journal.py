@@ -4,7 +4,7 @@ Unit coverage for :mod:`repro.txn.journal` — exact inversion of every
 mutation kind (node add/remove, edge add/remove, print rewrites, scheme
 edits, scheme rebinding), watermark savepoints that can be rolled back
 to repeatedly, nested transactions, the zero-copy guarantee on the
-begin/savepoint path, and the consuming-snapshot fallback.
+begin/savepoint path, and the consuming-snapshot oracle protocol.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.graph import isomorphic
 from repro.graph.store import GraphStore
 from repro.storage import RelationalEngine
 from repro.tarski import TarskiEngine
+from repro.testing import SnapshotTransaction
 from repro.txn import OneShotState, Transaction, supports_journal
 from repro.txn.snapshot import capture, restore
 
@@ -40,7 +41,6 @@ def test_begin_savepoint_and_rollback_never_copy_the_store(tiny_instance, monkey
     before = full_state(tiny_instance)
     with _counters.collect() as tally:
         txn = Transaction(tiny_instance)
-        assert txn.uses_journal
         point = txn.savepoint("cheap")
         alice = next(iter(tiny_instance.nodes_with_label("Person")))
         extra = tiny_instance.add_object("Person")
@@ -154,7 +154,6 @@ def test_inner_transaction_rollback_is_visible_to_outer_journal(tiny_instance):
     tiny_instance.add_object("Person")
     middle = full_state(tiny_instance)
     inner = Transaction(tiny_instance)
-    assert inner.uses_journal
     tiny_instance.add_object("Person")
     inner.rollback()
     assert full_state(tiny_instance) == middle
@@ -173,7 +172,6 @@ def test_engine_journal_rollback_is_exact(tiny_instance, engine_cls):
     pristine = engine.to_instance()
     with _counters.collect() as tally:
         txn = Transaction(engine)
-        assert txn.uses_journal
         point = txn.savepoint()
         engine.run([tag_everyone(engine.scheme, "A")], atomic=False)
         txn.rollback_to(point)
@@ -192,14 +190,34 @@ def test_engine_targets_support_the_journal_protocol(tiny_instance, engine_cls):
     assert supports_journal(engine)
 
 
+def test_target_without_journal_hooks_is_refused_at_begin():
+    class SnapshotOnly:
+        """Implements the four snapshot hooks but no journal hooks."""
+
+        def capture_state(self):
+            return None
+
+        def restore_state(self, state):
+            pass
+
+        def state_summary(self):
+            return 0, 0
+
+        def check_invariants(self):
+            pass
+
+    assert not supports_journal(SnapshotOnly())
+    with pytest.raises(TransactionError, match="begin_journal"):
+        Transaction(SnapshotOnly())
+
+
 # ----------------------------------------------------------------------
-# fallback snapshot protocol
+# the snapshot-protocol oracle
 # ----------------------------------------------------------------------
-def test_use_journal_false_forces_the_snapshot_oracle(tiny_instance):
+def test_snapshot_oracle_captures_and_restores(tiny_instance):
     before = full_state(tiny_instance)
     with _counters.collect() as tally:
-        txn = Transaction(tiny_instance, use_journal=False)
-        assert not txn.uses_journal
+        txn = SnapshotTransaction(tiny_instance)
         tiny_instance.add_object("Person")
         txn.rollback()
     assert tally.txn_snapshot_captures >= 1
@@ -208,7 +226,7 @@ def test_use_journal_false_forces_the_snapshot_oracle(tiny_instance):
 
 
 def test_snapshot_savepoint_survives_repeated_rollback_to(tiny_scheme, tiny_instance):
-    txn = Transaction(tiny_instance, use_journal=False)
+    txn = SnapshotTransaction(tiny_instance)
     point = txn.savepoint("sp")
     state = full_state(tiny_instance)
     Program([tag_everyone(tiny_scheme, "A")]).run(tiny_instance, in_place=True)

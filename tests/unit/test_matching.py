@@ -1,9 +1,10 @@
 """Unit tests for pattern matching (Section 3)."""
 
-from repro.core import Pattern, count_matchings, find_matchings, find_matchings_naive, match_exists
+from repro.core import Pattern, count_matchings, find_matchings, match_exists
 from repro.core.matching import find_negated
 from repro.core.pattern import NegatedPattern, empty_pattern
 from repro.core.macros import value_between
+from repro.testing import find_matchings_naive
 
 from tests.conftest import person_pattern
 
@@ -162,8 +163,8 @@ def test_base_candidates_computed_once_per_node(tiny_scheme, tiny_instance, monk
     """The backtracking oracle's candidate table is shared between the
     search-order heuristic and the search — one label/print scan per
     pattern node."""
-    from repro.core import matching as matching_module
-    from repro.core.matching import find_matchings_backtracking
+    from repro.testing import matchers as matching_module
+    from repro.testing.matchers import find_matchings_backtracking
 
     pattern = Pattern(tiny_scheme)
     x = pattern.node("Person")

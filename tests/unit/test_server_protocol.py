@@ -15,7 +15,7 @@ from repro.core.errors import (
 from repro.dsl import DslError
 from repro.server import protocol
 from repro.server.catalog import UnknownDatabaseError
-from repro.server.locks import AdmissionController, AdmissionError, RWLock
+from repro.server.locks import AdmissionController, AdmissionError, WriteMutex
 from repro.server.stats import DatabaseStats, LatencyRing, ServerStats
 
 
@@ -193,100 +193,34 @@ def test_database_stats_counts_errors():
 
 
 # ----------------------------------------------------------------------
-# reader-writer lock
+# writer mutex
 # ----------------------------------------------------------------------
 
 
-def test_rwlock_readers_share_writers_exclude():
+def test_write_mutex_timeout_raises_timeout_error():
     async def scenario():
-        lock = RWLock()
-        log = []
-
-        async def reader(name):
-            async with lock.read_locked():
-                log.append(f"{name}+")
-                await asyncio.sleep(0.01)
-                log.append(f"{name}-")
-
-        async def writer():
-            async with lock.write_locked():
-                log.append("w+")
-                await asyncio.sleep(0.01)
-                log.append("w-")
-
-        await asyncio.gather(reader("a"), reader("b"), writer())
-        return log
-
-    log = asyncio.run(scenario())
-    # both readers overlapped (started before either finished)...
-    assert log.index("b+") < log.index("a-")
-    # ...and the writer's section is contiguous: nothing interleaves
-    w_start, w_end = log.index("w+"), log.index("w-")
-    assert w_end == w_start + 1
-
-
-def test_rwlock_writer_preference_blocks_new_readers():
-    async def scenario():
-        lock = RWLock()
-        order = []
-        release_first_reader = asyncio.Event()
-
-        async def first_reader():
-            async with lock.read_locked():
-                order.append("r1+")
-                await release_first_reader.wait()
-            order.append("r1-")
-
-        async def writer():
-            await lock.acquire_write()
-            order.append("w+")
-            await lock.release_write()
-
-        async def late_reader():
-            async with lock.read_locked():
-                order.append("r2+")
-
-        task_r1 = asyncio.create_task(first_reader())
-        await asyncio.sleep(0.005)
-        task_w = asyncio.create_task(writer())
-        await asyncio.sleep(0.005)
-        task_r2 = asyncio.create_task(late_reader())
-        await asyncio.sleep(0.005)
-        release_first_reader.set()
-        await asyncio.gather(task_r1, task_w, task_r2)
-        return order
-
-    order = asyncio.run(scenario())
-    # the late reader queued behind the waiting writer
-    assert order.index("w+") < order.index("r2+")
-
-
-def test_rwlock_timeout_raises_timeout_error():
-    async def scenario():
-        lock = RWLock()
-        await lock.acquire_write()
-        with pytest.raises(TimeoutError):
-            async with lock.read_locked(timeout=0.01):
-                pass  # pragma: no cover
-        await lock.release_write()
+        lock = WriteMutex()
+        async with lock.write_locked():
+            with pytest.raises(TimeoutError):
+                async with lock.write_locked(timeout=0.01):
+                    pass  # pragma: no cover
         # and the lock still works afterwards
-        async with lock.read_locked(timeout=0.01):
+        async with lock.write_locked(timeout=0.01):
             return True
 
     assert asyncio.run(scenario()) is True
 
 
-def test_rwlock_state():
+def test_write_mutex_state():
     async def scenario():
-        lock = RWLock()
+        lock = WriteMutex()
         states = [lock.state]
-        async with lock.read_locked():
-            states.append(lock.state)
         async with lock.write_locked():
             states.append(lock.state)
+        states.append(lock.state)
         return states
 
-    assert asyncio.run(scenario()) == ["idle", "1r", "w"]
+    assert asyncio.run(scenario()) == ["idle", "w", "idle"]
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from array import array
 import pytest
 
 from repro.core import Instance, Pattern, Scheme, counters
-from repro.core.matching import find_matchings_backtracking
 from repro.graph.adjacency import EMPTY_SET, EMPTY_VIEW, AdjacencyIndex, SpanSets
 from repro.graph.store import Delta, GraphStore
 from repro.plan import (
@@ -31,6 +30,7 @@ from repro.plan import (
 )
 from repro.plan import executor as executor_module
 from repro.plan.executor import seeded_runner
+from repro.testing import find_matchings_backtracking
 
 
 def graph_scheme() -> Scheme:
@@ -272,13 +272,12 @@ def test_multiway_equals_left_deep_equals_backtracking():
     assert canonical(execute_plan(left_deep, pattern, db)) == expected
 
 
-def test_compiled_runner_matches_interpreter(monkeypatch):
+def test_compiled_runner_matches_interpreter():
     db = dense_instance()
     pattern, _ = triangle_pattern(db.scheme)
     plan = compile_plan(pattern, db, strategy="multiway")
     compiled = list(execute_plan(plan, pattern, db))
-    monkeypatch.setattr(executor_module, "_USE_COMPILED_MULTIWAY", False)
-    interpreted = list(execute_plan(plan, pattern, db))
+    interpreted = list(executor_module._interpret_plan(plan, pattern, db, {}))
     assert compiled == interpreted  # same matchings, same order
 
 
