@@ -36,8 +36,6 @@ KNOWN_FLOORS = {
     ("BENCH_planner.json", "dense-label-3000"): 3.0,
     ("BENCH_fixpoint.json", "chain-128"): 5.0,
     ("BENCH_fixpoint.json", "tree-d6"): 1.0,
-    ("BENCH_txn.json", "small-write-50k"): 10.0,
-    ("BENCH_txn.json", "savepoint-loop-10k"): 10.0,
 }
 
 

@@ -32,44 +32,12 @@ from array import array
 from bisect import bisect_left
 from typing import Iterable, Tuple
 
-from repro.graph.columns import build_csr
+from repro.graph.columns import EMPTY_SET, SpanSets, build_csr
+
+__all__ = ["EMPTY_SET", "EMPTY_VIEW", "AdjacencyIndex", "SpanSets"]
 
 #: The empty slice every miss returns (shared, zero-length, immutable).
 EMPTY_VIEW = memoryview(array("q"))
-
-#: The empty set every span-set miss returns (shared, immutable).
-EMPTY_SET: frozenset = frozenset()
-
-
-class SpanSets(dict):
-    """Lazy ``node -> frozenset`` views over one direction of an index.
-
-    Subscripting builds the node's frozenset from its CSR span on first
-    access and memoizes it (``__missing__``), so warm lookups are one
-    C-level dict subscript — the fetch primitive of the compiled
-    multiway runner (:mod:`repro.plan.executor`).  Misses memoize the
-    shared empty frozenset.  Like the arrays they derive from, span
-    sets are immutable-by-convention and shared across MVCC forks.
-    """
-
-    __slots__ = ("_keys", "_offs", "_vals")
-
-    def __init__(self, keys: array, offs: array, vals: array) -> None:
-        super().__init__()
-        self._keys = keys
-        self._offs = offs
-        self._vals = vals
-
-    def __missing__(self, node: int) -> frozenset:
-        keys = self._keys
-        position = bisect_left(keys, node)
-        if position < len(keys) and keys[position] == node:
-            offs = self._offs
-            value = frozenset(self._vals[offs[position] : offs[position + 1]])
-        else:
-            value = EMPTY_SET
-        self[node] = value
-        return value
 
 
 def _charge_build() -> None:

@@ -19,12 +19,20 @@ nodes cost megabytes instead of hundreds of megabytes of boxed objects:
   ``sorted_adjacency`` is an O(1) wrap of the base arrays when the
   overlay is empty instead of an O(E log E) rebuild per epoch.
 
+The read-side memos live on the columns too: per-node neighbour
+frozensets (:class:`SpanSets` over the base arrays, shared by every
+clone until a flush replaces the arrays, plus an :class:`OverlaySets`
+for the current overlay), and one frozenset of a column's whole
+contents.  Every mutation drops the memos that could have changed,
+exactly like :attr:`EdgeColumn.index`, so copying a column never
+copies a memo and a write costs O(changes).
+
 Mutating methods must only ever be called by a store that owns the
 column privately (the store's COW machinery clones a shared column
 before its first write).  Read methods never modify the base or the
 overlay; they may memoize a merged result in a single attribute
-assignment, which is GIL-atomic and idempotent, so frozen snapshots
-shared across reader threads stay safe.
+assignment or dict insert, which is GIL-atomic and idempotent, so
+frozen snapshots shared across reader threads stay safe.
 """
 
 from __future__ import annotations
@@ -45,6 +53,9 @@ _FLUSH_SHIFT = 3
 #: Shared empty sorted array (immutable-by-convention).
 EMPTY_ARRAY = array("q")
 
+#: The empty set every neighbour-set miss returns (shared, immutable).
+EMPTY_SET: frozenset = frozenset()
+
 
 class LabelInterner:
     """Append-only ``str ↔ small int`` table shared by every store.
@@ -55,12 +66,16 @@ class LabelInterner:
     take a lock only on the miss path.
     """
 
-    __slots__ = ("_ids", "_names", "_lock")
+    __slots__ = ("_ids", "_names", "_lock", "find")
 
     def __init__(self) -> None:
         self._ids: Dict[str, int] = {}
         self._names: List[str] = []
         self._lock = threading.Lock()
+        #: ``name -> id``, or ``None`` when never interned: the bare
+        #: dict lookup, for read paths where a Python frame per call
+        #: shows (store accessors keyed by label id)
+        self.find = self._ids.get
 
     def intern(self, name: str) -> int:
         """Return the id for ``name``, assigning the next id on a miss."""
@@ -200,7 +215,7 @@ class IntColumn:
     cardinality stays O(1).
     """
 
-    __slots__ = ("base", "adds", "dels", "count", "_merged")
+    __slots__ = ("base", "adds", "dels", "count", "_merged", "_frozenset")
 
     def __init__(self, values: Optional[array] = None) -> None:
         self.base: array = values if values is not None else array("q")
@@ -208,6 +223,7 @@ class IntColumn:
         self.dels: Set[int] = set()
         self.count: int = len(self.base)
         self._merged: Optional[array] = None
+        self._frozenset: Optional[frozenset] = None
 
     def __contains__(self, value: int) -> bool:
         if value in self.adds:
@@ -227,7 +243,7 @@ class IntColumn:
         else:
             self.adds.add(value)
         self.count += 1
-        self._merged = None
+        self._merged = self._frozenset = None
         self._maybe_flush()
         return True
 
@@ -240,7 +256,7 @@ class IntColumn:
         else:
             return False
         self.count -= 1
-        self._merged = None
+        self._merged = self._frozenset = None
         self._maybe_flush()
         return True
 
@@ -272,6 +288,14 @@ class IntColumn:
             self._merged = merged
         return merged
 
+    def as_frozenset(self) -> frozenset:
+        """The contents as a frozenset, memoized: the identical object
+        until the next ``add``/``discard`` (a flush keeps it)."""
+        frozen = self._frozenset
+        if frozen is None:
+            frozen = self._frozenset = frozenset(self.merged())
+        return frozen
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.merged())
 
@@ -286,6 +310,7 @@ class IntColumn:
         twin.dels = set(self.dels)
         twin.count = self.count
         twin._merged = self._merged
+        twin._frozenset = self._frozenset
         return twin
 
     def nbytes(self) -> int:
@@ -370,6 +395,86 @@ def csr_span(keys: array, offs: array, key: int) -> Tuple[int, int]:
     return 0, 0
 
 
+class SpanSets(dict):
+    """Lazy ``node -> frozenset`` views over one direction of CSR arrays.
+
+    Subscripting builds the node's frozenset from its CSR span on first
+    access and memoizes it (``__missing__``), so warm lookups are one
+    C-level dict subscript — the fetch primitive of the compiled plan
+    runners (:mod:`repro.plan.executor`).  Misses memoize the shared
+    empty frozenset.  Like the arrays they derive from, span sets are
+    immutable-by-convention and shared across clones and MVCC forks.
+    """
+
+    __slots__ = ("_keys", "_offs", "_vals")
+
+    def __init__(self, keys: array, offs: array, vals: array) -> None:
+        super().__init__()
+        self._keys = keys
+        self._offs = offs
+        self._vals = vals
+
+    def __missing__(self, node: int) -> frozenset:
+        keys = self._keys
+        position = bisect_left(keys, node)
+        if position < len(keys) and keys[position] == node:
+            offs = self._offs
+            value = frozenset(self._vals[offs[position] : offs[position + 1]])
+        else:
+            value = EMPTY_SET
+        self[node] = value
+        return value
+
+
+class OverlaySets(dict):
+    """Lazy ``node -> frozenset`` views of one direction of a dirty column.
+
+    A node the pending overlay touches gets its base span set minus its
+    pending deletions plus its pending additions; every other node gets
+    the base :class:`SpanSets` entry itself, so its neighbour set stays
+    the identical object across writes, clones and MVCC forks.  Every
+    answer is memoized, so warm lookups cost one C-level subscript, as
+    on a clean column.  The column replaces its overlay sets on every
+    mutation, which is what makes them safe to memoize.
+    """
+
+    __slots__ = ("_base", "_adds", "_dels")
+
+    def __init__(
+        self,
+        base: SpanSets,
+        adds: Dict[int, Tuple[int, ...]],
+        dels: Dict[int, Tuple[int, ...]],
+    ) -> None:
+        super().__init__()
+        self._base = base
+        self._adds = adds
+        self._dels = dels
+
+    def __missing__(self, node: int) -> frozenset:
+        value = self._base[node]
+        gone = self._dels.get(node)
+        if gone:
+            value = value.difference(gone)
+        extra = self._adds.get(node)
+        if extra:
+            value = value.union(extra)
+        self[node] = value
+        return value
+
+
+def _push(bucket: Dict[int, Tuple[int, ...]], key: int, value: int) -> None:
+    bucket[key] = bucket.get(key, ()) + (value,)
+
+
+def _drop(bucket: Dict[int, Tuple[int, ...]], key: int, value: int) -> None:
+    values = tuple(v for v in bucket[key] if v != value)
+    if values:
+        bucket[key] = values
+    else:
+        del bucket[key]
+
+
 class EdgeColumn:
     """One edge label's adjacency: bidirectional CSR + pending overlay.
 
@@ -379,6 +484,14 @@ class EdgeColumn:
     (the :class:`~repro.graph.adjacency.AdjacencyIndex` accessor) lives
     on the store, which also handles COW cloning; see
     :meth:`GraphStore.sorted_adjacency`.
+
+    The overlay is the pair sets ``add_set``/``del_set`` plus per-node
+    buckets (``add_out``/``add_in``/``del_out``/``del_in``) holding
+    tuples that a write replaces rather than extends, so a clone copies
+    one dict per bucket whatever the pending count.  ``out_sets`` and
+    ``in_sets`` are the current ``node -> frozenset`` neighbour maps:
+    the base :class:`SpanSets` while the overlay is empty, an
+    :class:`OverlaySets` over them otherwise.
     """
 
     __slots__ = (
@@ -388,26 +501,51 @@ class EdgeColumn:
         "rev_keys",
         "rev_offs",
         "rev_vals",
+        "fwd_sets",
+        "rev_sets",
         "add_set",
         "del_set",
         "add_out",
         "add_in",
+        "del_out",
+        "del_in",
         "count",
         "index",
+        "out_sets",
+        "in_sets",
+        "_frozenset",
     )
 
     def __init__(self) -> None:
-        self.fwd_keys = array("q")
-        self.fwd_offs = array("q", (0,))
-        self.fwd_vals = array("q")
-        self.rev_keys = array("q")
-        self.rev_offs = array("q", (0,))
-        self.rev_vals = array("q")
         self.add_set: Set[Tuple[int, int]] = set()
         self.del_set: Set[Tuple[int, int]] = set()
-        self.add_out: Dict[int, List[int]] = {}
-        self.add_in: Dict[int, List[int]] = {}
+        self.add_out: Dict[int, Tuple[int, ...]] = {}
+        self.add_in: Dict[int, Tuple[int, ...]] = {}
+        self.del_out: Dict[int, Tuple[int, ...]] = {}
+        self.del_in: Dict[int, Tuple[int, ...]] = {}
         self.count = 0
+        self._frozenset: Optional[frozenset] = None
+        empty = (array("q"), array("q", (0,)), array("q"))
+        self._bind(empty, empty)
+
+    @classmethod
+    def from_pairs(cls, pairs: List[Tuple[int, int]]) -> "EdgeColumn":
+        """A column holding ``pairs`` (sorted, duplicate-free) as its base."""
+        col = cls()
+        col._bind(build_csr(pairs), build_csr(sorted((t, s) for s, t in pairs)))
+        col.count = len(pairs)
+        return col
+
+    def _bind(self, fwd: Tuple[array, array, array], rev: Tuple[array, array, array]) -> None:
+        """Install new base CSR arrays under an empty overlay.
+
+        The one place base arrays are (re)assigned, so the base span
+        sets always describe the arrays beside them.
+        """
+        self.fwd_keys, self.fwd_offs, self.fwd_vals = fwd
+        self.rev_keys, self.rev_offs, self.rev_vals = rev
+        self.out_sets = self.fwd_sets = SpanSets(*fwd)
+        self.in_sets = self.rev_sets = SpanSets(*rev)
         #: memoized AdjacencyIndex for the current contents (managed by
         #: the store; invalidated on every mutation/flush)
         self.index: Any = None
@@ -417,62 +555,62 @@ class EdgeColumn:
         pair = (source, target)
         if pair in self.del_set:
             self.del_set.remove(pair)
+            _drop(self.del_out, source, target)
+            _drop(self.del_in, target, source)
         elif pair in self.add_set or self._in_base(source, target):
             return False
         else:
             self.add_set.add(pair)
-            self.add_out.setdefault(source, []).append(target)
-            self.add_in.setdefault(target, []).append(source)
+            _push(self.add_out, source, target)
+            _push(self.add_in, target, source)
         self.count += 1
-        self.index = None
-        self._maybe_flush()
+        self._changed()
         return True
 
     def remove(self, source: int, target: int) -> bool:
         pair = (source, target)
         if pair in self.add_set:
             self.add_set.remove(pair)
-            self._drop_pending(self.add_out, source, target)
-            self._drop_pending(self.add_in, target, source)
+            _drop(self.add_out, source, target)
+            _drop(self.add_in, target, source)
         elif pair not in self.del_set and self._in_base(source, target):
             self.del_set.add(pair)
+            _push(self.del_out, source, target)
+            _push(self.del_in, target, source)
         else:
             return False
         self.count -= 1
-        self.index = None
-        self._maybe_flush()
+        self._changed()
         return True
 
-    @staticmethod
-    def _drop_pending(bucket: Dict[int, List[int]], key: int, value: int) -> None:
-        values = bucket[key]
-        values.remove(value)
-        if not values:
-            del bucket[key]
-
-    def _maybe_flush(self) -> None:
+    def _changed(self) -> None:
+        """Drop the memos a mutation stales; fold an outgrown overlay."""
+        self.index = self._frozenset = None
         pending = len(self.add_set) + len(self.del_set)
         if pending > max(_FLUSH_MIN, len(self.fwd_vals) >> _FLUSH_SHIFT):
             self.flush()
+        else:
+            self._overlay_sets()
+
+    def _overlay_sets(self) -> None:
+        if self.add_set or self.del_set:
+            self.out_sets = OverlaySets(self.fwd_sets, self.add_out, self.del_out)
+            self.in_sets = OverlaySets(self.rev_sets, self.add_in, self.del_in)
+        else:
+            self.out_sets, self.in_sets = self.fwd_sets, self.rev_sets
 
     def flush(self) -> None:
         """Fold the overlay into fresh CSR base arrays (writer-only)."""
-        if not self.add_set and not self.del_set:
+        if not self.dirty:
             return
-        adds_fwd = sorted(self.add_set)
-        self.fwd_keys, self.fwd_offs, self.fwd_vals = _merge_csr(
-            self.fwd_keys, self.fwd_offs, self.fwd_vals, self.del_set, adds_fwd
-        )
-        dels_rev = {(target, source) for source, target in self.del_set}
-        adds_rev = sorted((target, source) for source, target in self.add_set)
-        self.rev_keys, self.rev_offs, self.rev_vals = _merge_csr(
-            self.rev_keys, self.rev_offs, self.rev_vals, dels_rev, adds_rev
-        )
+        merged = self.merged_arrays()
         self.add_set = set()
         self.del_set = set()
         self.add_out = {}
         self.add_in = {}
-        self.index = None
+        self.del_out = {}
+        self.del_in = {}
+        self._bind(merged[:3], merged[3:])
 
     # -- reads (never mutate base or overlay) ---------------------------
     @property
@@ -496,18 +634,17 @@ class EdgeColumn:
             return False
         return self._in_base(source, target)
 
+    @staticmethod
     def _side(
-        self, node: int, keys: array, offs: array, vals: array,
-        pend: Dict[int, List[int]], flip: bool,
+        node: int, keys: array, offs: array, vals: array,
+        adds: Dict[int, Tuple[int, ...]], dels: Dict[int, Tuple[int, ...]],
     ) -> List[int]:
         lo, hi = csr_span(keys, offs, node)
         base = vals[lo:hi].tolist() if hi > lo else []
-        if self.del_set and base:
-            if flip:
-                base = [v for v in base if (v, node) not in self.del_set]
-            else:
-                base = [v for v in base if (node, v) not in self.del_set]
-        extra = pend.get(node)
+        gone = dels.get(node)
+        if gone:
+            base = [v for v in base if v not in gone]
+        extra = adds.get(node)
         if extra:
             base.extend(extra)
             base.sort()
@@ -515,49 +652,37 @@ class EdgeColumn:
 
     def out_list(self, source: int) -> List[int]:
         """Sorted targets of edges leaving ``source``."""
-        return self._side(source, self.fwd_keys, self.fwd_offs, self.fwd_vals, self.add_out, False)
+        return self._side(
+            source, self.fwd_keys, self.fwd_offs, self.fwd_vals, self.add_out, self.del_out
+        )
 
     def in_list(self, target: int) -> List[int]:
         """Sorted sources of edges arriving at ``target``."""
-        return self._side(target, self.rev_keys, self.rev_offs, self.rev_vals, self.add_in, True)
+        return self._side(
+            target, self.rev_keys, self.rev_offs, self.rev_vals, self.add_in, self.del_in
+        )
 
     def has_source(self, source: int) -> bool:
-        if source in self.add_out:
-            return True
-        lo, hi = csr_span(self.fwd_keys, self.fwd_offs, source)
-        if lo == hi:
-            return False
-        if not self.del_set:
-            return True
-        vals = self.fwd_vals
-        return any((source, vals[i]) not in self.del_set for i in range(lo, hi))
+        return self.out_degree(source) > 0
 
     def has_target(self, target: int) -> bool:
-        if target in self.add_in:
-            return True
-        lo, hi = csr_span(self.rev_keys, self.rev_offs, target)
-        if lo == hi:
-            return False
-        if not self.del_set:
-            return True
-        vals = self.rev_vals
-        return any((vals[i], target) not in self.del_set for i in range(lo, hi))
+        return self.in_degree(target) > 0
 
     def out_degree(self, source: int) -> int:
         lo, hi = csr_span(self.fwd_keys, self.fwd_offs, source)
-        degree = (hi - lo) + len(self.add_out.get(source, ()))
-        if self.del_set and hi > lo:
-            vals = self.fwd_vals
-            degree -= sum((source, vals[i]) in self.del_set for i in range(lo, hi))
-        return degree
+        return (hi - lo) + len(self.add_out.get(source, ())) - len(self.del_out.get(source, ()))
 
     def in_degree(self, target: int) -> int:
         lo, hi = csr_span(self.rev_keys, self.rev_offs, target)
-        degree = (hi - lo) + len(self.add_in.get(target, ()))
-        if self.del_set and hi > lo:
-            vals = self.rev_vals
-            degree -= sum((vals[i], target) in self.del_set for i in range(lo, hi))
-        return degree
+        return (hi - lo) + len(self.add_in.get(target, ())) - len(self.del_in.get(target, ()))
+
+    def as_frozenset(self) -> frozenset:
+        """All ``(source, target)`` pairs as a frozenset, memoized: the
+        identical object until the next ``add``/``remove``."""
+        frozen = self._frozenset
+        if frozen is None:
+            frozen = self._frozenset = frozenset(self.pairs())
+        return frozen
 
     def pairs(self) -> Iterator[Tuple[int, int]]:
         """All ``(source, target)`` pairs, sorted (merged view)."""
@@ -591,7 +716,9 @@ class EdgeColumn:
         return fwd + rev
 
     def clone(self) -> "EdgeColumn":
-        """A private twin sharing the base arrays by reference."""
+        """A private twin sharing the base arrays and their span sets by
+        reference; a constant number of containers whatever the overlay
+        holds (the buckets' tuples are shared, never mutated)."""
         twin = EdgeColumn.__new__(EdgeColumn)
         twin.fwd_keys = self.fwd_keys
         twin.fwd_offs = self.fwd_offs
@@ -599,12 +726,18 @@ class EdgeColumn:
         twin.rev_keys = self.rev_keys
         twin.rev_offs = self.rev_offs
         twin.rev_vals = self.rev_vals
+        twin.fwd_sets = self.fwd_sets
+        twin.rev_sets = self.rev_sets
         twin.add_set = set(self.add_set)
         twin.del_set = set(self.del_set)
-        twin.add_out = {k: list(v) for k, v in self.add_out.items()}
-        twin.add_in = {k: list(v) for k, v in self.add_in.items()}
+        twin.add_out = dict(self.add_out)
+        twin.add_in = dict(self.add_in)
+        twin.del_out = dict(self.del_out)
+        twin.del_in = dict(self.del_in)
         twin.count = self.count
         twin.index = self.index
+        twin._frozenset = self._frozenset
+        twin._overlay_sets()
         return twin
 
     def nbytes(self) -> int:
@@ -615,4 +748,5 @@ class EdgeColumn:
         total = sum(a.itemsize * len(a) for a in arrays)
         total += sys.getsizeof(self.add_set) + sys.getsizeof(self.del_set)
         total += sys.getsizeof(self.add_out) + sys.getsizeof(self.add_in)
+        total += sys.getsizeof(self.del_out) + sys.getsizeof(self.del_in)
         return total

@@ -22,12 +22,13 @@ records:
   iteration without re-sorting the whole id set per call.
 
 The hot read accessors (``out_neighbours``, ``in_neighbours``,
-``nodes_with_label``, ``edges_with_label``) still hand out *cached*
-frozenset views with the same identity semantics as before: repeated
-calls return the identical object until a mutation touches the
-underlying index.  Statistics are versioned by :attr:`stats_epoch`,
-which advances on every structural change (node/edge add/remove) but
-not on print-value updates.
+``nodes_with_label``, ``edges_with_label``) hand out frozensets
+memoized *on the columns*: repeated calls return the identical object
+until a mutation touches that column, and forks that share a column
+share its memos.  The store keeps no view dicts of its own, so nothing
+per node is copied when a published version diverges.  Statistics are
+versioned by :attr:`stats_epoch`, which advances on every structural
+change (node/edge add/remove) but not on print-value updates.
 
 ``fork(frozen=True)`` shares every column by reference and privatizes
 per column on the live side's first write, so MVCC captures cost O(1)
@@ -48,16 +49,17 @@ import sys
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.graph.adjacency import AdjacencyIndex
 from repro.graph.columns import (
     EMPTY_ARRAY,
+    EMPTY_SET,
     LABELS,
     EdgeColumn,
     IdSlotMap,
     IntColumn,
-    build_csr,
+    SpanSets,
     intern_label,
     label_name,
     lookup_label,
@@ -237,17 +239,12 @@ class GraphStore:
         # observers
         "_trackers",
         "_journals",
-        # cached views
-        "_label_views",
-        "_edge_label_views",
-        "_out_views",
-        "_in_views",
+        # cached derived data
         "_empty_adjacency",
         "_plan_cache",
         # copy-on-write state
         "_frozen",
         "_shared_data",
-        "_shared_views",
         "_cow_inner",
         "_owned_node_cols",
         "_owned_print_col",
@@ -285,12 +282,6 @@ class GraphStore:
         # appends an inverse-describing entry to every journal so a
         # rollback can replay the changes in reverse
         self._journals: List[Any] = []
-        # cached frozenset views handed to hot readers; invalidated
-        # per-key on mutation so unrelated reads keep their objects
-        self._label_views: Dict[str, FrozenSet[int]] = {}
-        self._edge_label_views: Dict[str, FrozenSet[Tuple[int, int]]] = {}
-        self._out_views: Dict[int, Dict[str, FrozenSet[int]]] = {}
-        self._in_views: Dict[int, Dict[str, FrozenSet[int]]] = {}
         # label -> empty AdjacencyIndex for labels with no edge column;
         # entries stay correct forever (a label that gains edges routes
         # through its column instead), so the dict is freely shared
@@ -300,7 +291,6 @@ class GraphStore:
         # --- copy-on-write state (see fork) ---
         self._frozen = False
         self._shared_data = False
-        self._shared_views = False
         self._cow_inner = False
         self._owned_node_cols = False
         self._owned_print_col = False
@@ -375,18 +365,18 @@ class GraphStore:
     def fork(self, *, frozen: bool = True) -> "GraphStore":
         """Return an O(1) copy-on-write clone of this store.
 
-        The clone shares *every* column, index and cached-view
-        structure with this store; nothing is copied at fork time.  The
-        live side pays for divergence lazily: its first mutation after
-        the fork pointer-copies the top-level dicts, node columns are
-        copied on the first write that touches them, and each touched
-        per-label column is privatized once (tracked by the
-        ``_owned_*`` state), so the bytes copied are proportional to
-        the changes made — not to the store.  Neither side ever mutates
-        a structure the other can still see; sorted-adjacency indexes
-        are memoized *on the shared columns*, so a frozen snapshot and
-        its parent keep returning the identical index object until the
-        live side diverges.
+        The clone shares *every* column and index structure with this
+        store; nothing is copied at fork time.  The live side pays for
+        divergence lazily: its first mutation after the fork
+        pointer-copies the top-level dicts, node columns are copied on
+        the first write that touches them, and each touched per-label
+        column is privatized once (tracked by the ``_owned_*`` state),
+        so the bytes copied are proportional to the changes made — not
+        to the store.  Neither side ever mutates a structure the other
+        can still see; sorted-adjacency indexes and frozenset views are
+        memoized *on the shared columns*, so a frozen snapshot and its
+        parent keep returning the identical objects until the live side
+        writes to that column.
 
         With ``frozen=True`` (the default) the clone is an immutable
         published snapshot: concurrent readers may use it freely, and
@@ -414,10 +404,6 @@ class GraphStore:
         clone._stats_epoch = self._stats_epoch
         clone._trackers = []
         clone._journals = []
-        clone._label_views = self._label_views
-        clone._edge_label_views = self._edge_label_views
-        clone._out_views = self._out_views
-        clone._in_views = self._in_views
         clone._empty_adjacency = self._empty_adjacency
         if self._plan_cache is None and not self._frozen:
             # pre-create so all versions share one epoch-keyed cache
@@ -425,7 +411,6 @@ class GraphStore:
         clone._plan_cache = self._plan_cache
         clone._frozen = frozen
         clone._shared_data = True
-        clone._shared_views = True
         clone._cow_inner = True
         clone._owned_node_cols = False
         clone._owned_print_col = False
@@ -436,7 +421,6 @@ class GraphStore:
             # the live parent must now COW too; a frozen parent never
             # mutates, so forking it is read-only (and thread-safe)
             self._shared_data = True
-            self._shared_views = True
             self._cow_inner = True
             self._owned_node_cols = False
             self._owned_print_col = False
@@ -452,16 +436,6 @@ class GraphStore:
                 "store is frozen (a published MVCC snapshot); "
                 "fork(frozen=False) yields a mutable clone"
             )
-        if self._shared_views:
-            # snapshot the outer dicts first with GIL-atomic dict() so a
-            # concurrent reader lazily inserting views cannot resize the
-            # dict we iterate; the two-level copy keeps the other side's
-            # inner view dicts untouched
-            self._label_views = dict(self._label_views)
-            self._edge_label_views = dict(self._edge_label_views)
-            self._out_views = {n: dict(v) for n, v in dict(self._out_views).items()}
-            self._in_views = {n: dict(v) for n, v in dict(self._in_views).items()}
-            self._shared_views = False
         if self._shared_data:
             self._members = dict(self._members)
             self._prints = dict(self._prints)
@@ -562,9 +536,6 @@ class GraphStore:
             key = (lid, print_value)
             self._own_print_set(key)
             self._prints.setdefault(key, set()).add(node_id)
-        self._label_views.pop(label, None)
-        self._out_views.pop(node_id, None)
-        self._in_views.pop(node_id, None)
         self._generation += 1
         self._stats_epoch += 1
         for tracker in self._trackers:
@@ -581,7 +552,6 @@ class GraphStore:
             self.remove_edge(edge.source, edge.label, edge.target)
         lid = self._slot_label[slot]
         print_value = self._slot_print[slot]
-        label = label_name(lid)
         self._own_node_cols()
         self._own_print_col()
         self._own_member(lid).discard(node_id)
@@ -598,9 +568,6 @@ class GraphStore:
         self._id_map.pop(node_id)
         self._free.append(slot)
         self._ids.discard(node_id)
-        self._label_views.pop(label, None)
-        self._out_views.pop(node_id, None)
-        self._in_views.pop(node_id, None)
         self._generation += 1
         self._stats_epoch += 1
         for tracker in self._trackers:
@@ -666,18 +633,14 @@ class GraphStore:
         return iter(self._ids.merged())
 
     def nodes_with_label(self, label: str) -> FrozenSet[int]:
-        """All node ids carrying ``label`` (a cached frozenset view).
+        """All node ids carrying ``label`` (a frozenset memoized on the
+        label's membership column).
 
         The returned object is identical across calls until a node
         with this label is added or removed.
         """
-        view = self._label_views.get(label)
-        if view is None:
-            lid = lookup_label(label)
-            col = self._members.get(lid) if lid >= 0 else None
-            view = frozenset(col.merged()) if col is not None else frozenset()
-            self._label_views[label] = view
-        return view
+        col = self._members.get(LABELS.find(label))
+        return EMPTY_SET if col is None else col.as_frozenset()
 
     def nodes_with_print(self, label: str, print_value: Any) -> FrozenSet[int]:
         """All node ids with the given label *and* print value."""
@@ -721,9 +684,6 @@ class GraphStore:
         self._out_stats[out_key] = self._out_stats.get(out_key, 0) + 1
         in_key = (self._slot_label[t_slot], elid)
         self._in_stats[in_key] = self._in_stats.get(in_key, 0) + 1
-        self._edge_label_views.pop(label, None)
-        self._out_views.pop(source, None)
-        self._in_views.pop(target, None)
         self._edge_count += 1
         self._generation += 1
         self._stats_epoch += 1
@@ -751,9 +711,6 @@ class GraphStore:
             del self._in_stats[in_key]
         else:
             self._in_stats[in_key] -= 1
-        self._edge_label_views.pop(label, None)
-        self._out_views.pop(source, None)
-        self._in_views.pop(target, None)
         self._edge_count -= 1
         self._generation += 1
         self._stats_epoch += 1
@@ -774,33 +731,33 @@ class GraphStore:
     def out_neighbours(self, node_id: int, label: str) -> FrozenSet[int]:
         """Targets of ``label``-edges leaving ``node_id``.
 
-        A cached frozenset view: the identical object is returned until
-        an edge incident to ``node_id`` changes.
+        A frozenset memoized on the label's column: the identical object
+        is returned until an edge of that label changes.
         """
-        views = self._out_views.get(node_id)
-        if views is None:
-            views = self._out_views[node_id] = {}
-        view = views.get(label)
-        if view is None:
-            col = self._ecol_for(label)
-            view = frozenset(col.out_list(node_id)) if col is not None else frozenset()
-            views[label] = view
-        return view
+        col = self._ecols.get(LABELS.find(label))
+        return EMPTY_SET if col is None else col.out_sets[node_id]
 
     def in_neighbours(self, node_id: int, label: str) -> FrozenSet[int]:
         """Sources of ``label``-edges arriving at ``node_id``.
 
-        A cached frozenset view, like :meth:`out_neighbours`.
+        Memoized like :meth:`out_neighbours`.
         """
-        views = self._in_views.get(node_id)
-        if views is None:
-            views = self._in_views[node_id] = {}
-        view = views.get(label)
-        if view is None:
-            col = self._ecol_for(label)
-            view = frozenset(col.in_list(node_id)) if col is not None else frozenset()
-            views[label] = view
-        return view
+        col = self._ecols.get(LABELS.find(label))
+        return EMPTY_SET if col is None else col.in_sets[node_id]
+
+    def neighbour_sets(self, label: str, direction: str) -> Mapping[int, FrozenSet[int]]:
+        """The ``node -> frozenset`` map behind :meth:`out_neighbours`
+        (``direction == "out"``) or :meth:`in_neighbours` (``"in"``).
+
+        Hot loops resolve it once and subscript it per probe.  It
+        describes the label's edges as of this call; re-fetch it after
+        writing to the store.
+        """
+        col = self._ecols.get(LABELS.find(label))
+        if col is None:
+            # a label without edges: every probe misses to the empty set
+            return SpanSets(EMPTY_ARRAY, EMPTY_ARRAY, EMPTY_ARRAY)
+        return col.out_sets if direction == "out" else col.in_sets
 
     def out_labels(self, node_id: int) -> FrozenSet[str]:
         """Edge labels leaving ``node_id``."""
@@ -862,10 +819,7 @@ class GraphStore:
         )
 
     def _ecol_for(self, label: str) -> Optional[EdgeColumn]:
-        elid = lookup_label(label)
-        if elid < 0:
-            return None
-        return self._ecols.get(elid)
+        return self._ecols.get(LABELS.find(label))
 
     @property
     def edge_count(self) -> int:
@@ -878,15 +832,11 @@ class GraphStore:
     def edges_with_label(self, label: str) -> FrozenSet[Tuple[int, int]]:
         """All ``(source, target)`` pairs of ``label``-edges.
 
-        A cached frozenset view: the identical object is returned until
-        an edge with this label is added or removed.
+        A frozenset memoized on the label's column: the identical object
+        is returned until an edge with this label is added or removed.
         """
-        view = self._edge_label_views.get(label)
-        if view is None:
-            col = self._ecol_for(label)
-            view = frozenset(col.pairs()) if col is not None else frozenset()
-            self._edge_label_views[label] = view
-        return view
+        col = self._ecol_for(label)
+        return EMPTY_SET if col is None else col.as_frozenset()
 
     def edge_labels_in_use(self) -> FrozenSet[str]:
         """The set of edge labels that occur in the store."""
@@ -921,15 +871,6 @@ class GraphStore:
             )
             col.index = index
         return index
-
-    def cached_adjacency(self, label: str) -> Optional[AdjacencyIndex]:
-        """The current index for ``label`` if already built, else
-        ``None`` — lets hot paths use arrays opportunistically without
-        forcing a build for one-off lookups."""
-        col = self._ecol_for(label)
-        if col is None:
-            return self._empty_adjacency.get(label)
-        return col.index
 
     def sorted_nodes_with_label(self, label: str) -> array:
         """All node ids carrying ``label`` as a sorted ``array('q')``.
@@ -1135,14 +1076,10 @@ class GraphStore:
         edge_count = 0
         for local_id, flat in columns["edges"]:
             elid = labels[local_id]
-            col = store._ecols[elid] = EdgeColumn()
             pairs = sorted(
                 (flat[i], flat[i + 1]) for i in range(0, len(flat), 2)
             )
-            col.fwd_keys, col.fwd_offs, col.fwd_vals = build_csr(pairs)
-            rev = sorted((t, s) for s, t in pairs)
-            col.rev_keys, col.rev_offs, col.rev_vals = build_csr(rev)
-            col.count = len(pairs)
+            store._ecols[elid] = EdgeColumn.from_pairs(pairs)
             edge_count += len(pairs)
             for source, target in pairs:
                 s_lid = slot_label[id_map.get(source)]

@@ -25,12 +25,14 @@ multiway plan's measured speedup comes from.  The interpreter keeps a
 tests run both and assert identical output.
 
 *Seeded* plans (``plan.fixed`` non-empty) compile too, whatever their
-strategy — ``Extend`` folds into the same intersection chains, reading
-the label's sorted-adjacency span sets when an index for the current
-epoch is warm and the store's cached neighbour views otherwise (a
-fixpoint round mutates the store between rounds, and rebuilding a full
-CSR index per round would cost O(E log E) each time — exactly the
-wrong trade for delta seeding).  :func:`seeded_runner` instantiates
+strategy — ``Extend`` folds into the same intersection chains,
+subscripting the store's per-label, per-direction neighbour-set map
+(:meth:`~repro.graph.store.GraphStore.neighbour_sets`, memoized on the
+edge column itself) rather than a sorted-adjacency index: a fixpoint
+round mutates the store between rounds, and rebuilding a full CSR
+index per round would cost O(E log E) each time — exactly the wrong
+trade for delta seeding.  The interpreter resolves the same maps once
+per call, outside its candidate loops.  :func:`seeded_runner` instantiates
 one runner per plan and hands back a plain callable, so semi-naive
 delta rounds (:func:`repro.core.matching.find_matchings_delta`) pay
 the per-plan setup once and a single generator per seed — not a plan
@@ -48,7 +50,7 @@ finishes or is closed, so server ``STATS`` sees them.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import counters as _counters
 from repro.core.instance import Instance
@@ -65,30 +67,6 @@ Matching = Dict[int, int]
 #: plan shape; per-instance data is injected at call time).
 MAX_COMPILED_RUNNERS = 128
 _runner_cache: "OrderedDict[Plan, Tuple[Any, Dict[str, Any]]]" = OrderedDict()
-
-
-class _NeighbourSets(dict):
-    """Lazy ``node -> frozenset`` views over one store adjacency direction.
-
-    The compiled runner's ``Extend`` fold subscripts these exactly like
-    :class:`repro.graph.adjacency.SpanSets`; misses fetch the store's
-    cached neighbour view (itself a stable frozenset) and memoize it,
-    so repeated anchors inside one enumeration cost one C-level dict
-    subscript.  Used for seeded left-deep plans when no sorted-adjacency
-    index is warm for the current epoch.
-    """
-
-    __slots__ = ("_fetch", "_label")
-
-    def __init__(self, fetch, label: str) -> None:
-        super().__init__()
-        self._fetch = fetch
-        self._label = label
-
-    def __missing__(self, node: int) -> FrozenSet[int]:
-        value = self._fetch(node, self._label)
-        self[node] = value
-        return value
 
 
 def _seed_candidates(pattern: Pattern, instance: Instance, node: int) -> FrozenSet[int]:
@@ -140,9 +118,10 @@ def _generate_runner(plan: Plan) -> Optional[Tuple[str, Dict[str, Any]]]:
     The generated generator function binds one loop per ``ScanNodes``/
     ``MultiwayIntersect``/``Extend`` step (the latter two share the
     fold; only ``MultiwayIntersect`` counts as an intersection).  Each
-    operand (a lazy per-node frozenset over the label's adjacency —
-    CSR span sets or store neighbour views, chosen at instantiation —
-    or the node's label/print constraint set) is folded into a running
+    operand (a lazy per-node frozenset over the label's adjacency — a
+    sorted-adjacency index's span sets or the store's neighbour-set
+    map, chosen at instantiation — or the node's label/print
+    constraint set) is folded into a running
     partial intersection at the loop level of its anchor variable, so
     work that does not depend on the innermost variables happens once
     per outer binding and an empty partial prunes the whole subtree
@@ -321,10 +300,9 @@ def _instantiate_runner(plan: Plan, pattern: Pattern, instance: Instance):
     Returns the generator *function* (called as ``runner(fixed, None)``),
     so callers with many seeds — the semi-naive delta path — pay this
     setup once.  Multiway plans read the label's CSR span sets (built on
-    demand); other plans read span sets only when an index for the
-    current epoch is already warm, falling back to the store's cached
-    neighbour views — delta seeding must not force an O(E log E) index
-    build every fixpoint round.
+    demand); other plans read the store's neighbour-set maps, which
+    live on the edge columns — delta seeding must not force an
+    O(E log E) index build every fixpoint round.
     """
     compiled = _runner_for(plan)
     if compiled is None:
@@ -334,21 +312,13 @@ def _instantiate_runner(plan: Plan, pattern: Pattern, instance: Instance):
     env: Dict[str, Any] = {"he": store.has_edge, "charge": _counters.charge}
     for label, name in spec["labels"].items():
         env[name] = label
-    build_index = plan.strategy == "multiway"
+    multiway = plan.strategy == "multiway"
     for (direction, label), name in spec["adjacency"].items():
-        adjacency_index = (
-            store.sorted_adjacency(label) if build_index else store.cached_adjacency(label)
-        )
-        if adjacency_index is not None:
-            env[name] = (
-                adjacency_index.targets_sets()
-                if direction == "out"
-                else adjacency_index.sources_sets()
-            )
-        elif direction == "out":
-            env[name] = _NeighbourSets(store.out_neighbours, label)
+        if multiway:
+            index = store.sorted_adjacency(label)
+            env[name] = index.targets_sets() if direction == "out" else index.sources_sets()
         else:
-            env[name] = _NeighbourSets(store.in_neighbours, label)
+            env[name] = store.neighbour_sets(label, direction)
     for node in spec["scan_nodes"]:
         env[f"seeds{node}"] = sorted(_seed_candidates(pattern, instance, node))
     for node in spec["mw_nodes"]:
@@ -421,6 +391,22 @@ def _interpret_plan(
         assignment: Matching = dict(fixed)
         steps = plan.steps
 
+        # per Extend step, its probes as (neighbour-set map, anchor): each
+        # map is resolved once per (direction, label) per call, when the
+        # step is first reached, outside every candidate loop, so a probe
+        # costs one subscript
+        resolved: Dict[Tuple[str, str], Mapping[int, FrozenSet[int]]] = {}
+        extend_probes: List[Optional[List[Tuple[Mapping[int, FrozenSet[int]], int]]]] = [None] * len(steps)
+
+        def resolve(step: Extend) -> List[Tuple[Mapping[int, FrozenSet[int]], int]]:
+            probes = []
+            for direction, label, anchor in step.probes:
+                sets = resolved.get((direction, label))
+                if sets is None:
+                    sets = resolved[direction, label] = store.neighbour_sets(label, direction)
+                probes.append((sets, anchor))
+            return probes
+
         label_of = instance.label_of
         print_of = instance.print_of
 
@@ -444,23 +430,23 @@ def _interpret_plan(
                 return
             step = steps[index]
             if type(step) is Extend:
-                adjacency: List[FrozenSet[int]] = []
-                for direction, label, anchor in step.probes:
-                    image = assignment[anchor]
-                    if direction == "out":
-                        adjacency.append(store.out_neighbours(image, label))
-                    else:
-                        adjacency.append(store.in_neighbours(image, label))
-                tally[0] += len(adjacency)
-                adjacency.sort(key=len)
-                narrowest = adjacency[0]
-                if not narrowest:
-                    return
-                result = set(narrowest)
-                for narrower in adjacency[1:]:
-                    result &= narrower
-                    if not result:
-                        return
+                probes = extend_probes[index]
+                if probes is None:
+                    probes = extend_probes[index] = resolve(step)
+                tally[0] += len(probes)
+                if len(probes) == 1:
+                    sets, anchor = probes[0]
+                    result = sets[assignment[anchor]]
+                else:
+                    adjacency: List[FrozenSet[int]] = []
+                    for sets, anchor in probes:
+                        adjacency.append(sets[assignment[anchor]])
+                    adjacency.sort(key=len)
+                    result = adjacency[0]
+                    for narrower in adjacency[1:]:
+                        if not result:
+                            return
+                        result = result & narrower
                 node = step.node
                 for candidate in sorted(result):
                     if node_ok(node, candidate):

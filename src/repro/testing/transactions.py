@@ -6,8 +6,7 @@ whole state at begin and at every savepoint
 (:func:`repro.txn.snapshot.capture`) and reinstalls the copy on
 rollback — O(nodes+edges) each time, through no journal code path.
 ``tests/property/test_journal_equivalence.py`` fails the same random
-program under both and asserts the restored states agree;
-``benchmarks/test_bench_txn.py`` measures the journal against it.
+program under both and asserts the restored states agree.
 """
 
 from __future__ import annotations

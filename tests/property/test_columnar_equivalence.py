@@ -5,10 +5,11 @@ slot columns, a free list that recycles slots, and CSR adjacency as the
 primary edge representation.  None of that machinery may be observable
 through the store API.  We drive both implementations through the same
 random interleaving of mutations — adds, removes (which exercise slot
-reuse through the free list), print rewrites, edge churn, and
-copy-on-write forks — and assert the full observable surface matches at
-every step: node/edge sets, labels, prints, neighbour sets, degrees,
-sorted adjacency contents, and iteration order.
+reuse through the free list), print rewrites, edge churn, copy-on-write
+forks and checkpoint round trips — and assert the full observable
+surface matches at every step: node/edge sets, labels, prints,
+neighbour sets, label and edge-label sets, degrees, sorted adjacency
+contents, and iteration order.
 
 Removals followed by adds deliberately hammer the free list (a slot id
 from a dead node is recycled for a live one), and the label pool is
@@ -61,6 +62,8 @@ def observable_state(store):
         "sorted_by_label": {
             label: list(store.sorted_nodes_with_label(label)) for label in NODE_LABELS
         },
+        "by_label": {label: store.nodes_with_label(label) for label in NODE_LABELS},
+        "by_edge_label": {label: store.edges_with_label(label) for label in EDGE_LABELS},
         "labels": sorted(store.labels_in_use()),
         "edge_labels": sorted(store.edge_labels_in_use()),
         "node_count": store.node_count,
@@ -157,6 +160,12 @@ class ColumnarMatchesReference(RuleBasedStateMachine):
                 child.add_edge(fresh, "likes", node)
                 child.remove_node(node)
         assert observable_state(children[0]) == observable_state(children[1])
+
+    @rule()
+    def checkpoint_roundtrip(self):
+        """Replace the columnar side by its format-2 checkpoint image:
+        a store rebuilt by ``from_columns`` must answer every probe."""
+        self.columnar = GraphStore.from_columns(self.columnar.snapshot_columns())
 
     @invariant()
     def stores_agree(self):

@@ -595,6 +595,35 @@ class TestColumnarCheckpoint:
         # external node ids survive exactly (id-preserving, not just iso)
         assert sorted(restored.store.nodes()) == sorted(instance.store.nodes())
 
+    def test_recovered_checkpoint_answers_anchored_two_hop_match(self, tmp_path):
+        """A store rebuilt from a format-2 checkpoint must answer
+        neighbour probes from its loaded arrays, not an empty index."""
+        from repro.core import find_matchings
+        from repro.dsl import parse_pattern
+        from repro.io.serialize import instance_from_json
+
+        instance = self.build_instance()
+        people = sorted(instance.nodes_with_label("Person"))
+        for left, right in zip(people, people[2:]):
+            instance.add_edge(left, "knows", right)
+        path = write_checkpoint(
+            tmp_path, 1, instance, backend="native", last_lsn=9, next_id=instance.store.next_id
+        )
+        recovered = instance_from_json(load_checkpoint(path)["instance"])
+        source = '{ s: String = "ada"; x: Person; y: Person; z: Person; x -name-> s; x -knows->> y; y -knows->> z; }'
+
+        def rows(db):
+            pattern, variables = parse_pattern(source, db.scheme)
+            names = {node: name for name, node in variables.items()}
+            return sorted(
+                tuple(sorted((names[node], image) for node, image in matching.items()))
+                for matching in find_matchings(pattern, db)
+            )
+
+        expected = rows(instance)
+        assert len(expected) >= 2
+        assert rows(recovered) == expected
+
     def test_format_one_documents_still_load(self):
         from repro.graph import isomorphic
         from repro.io.serialize import instance_from_json
