@@ -10,8 +10,8 @@ CI loudly.  Three sources of floors, in order:
 * an explicit ``floor`` key inside a workload entry (``BENCH_wcoj``
   writes these) is checked against that entry's ``speedup``;
 * a ``floors`` dict inside an entry maps *metric name* → minimum and
-  is checked against the entry's own metrics (``BENCH_server`` and
-  ``BENCH_cluster`` write these: throughput floors, scale-out floors);
+  is checked against the entry's own metrics (``BENCH_cluster`` writes
+  these: scale-out floors);
 * a ``byte_floors`` dict inside an entry maps *metric name* → maximum
   and is checked in the ≤ direction (``BENCH_columnar`` writes these:
   the store's resident bytes must stay *under* the cap);

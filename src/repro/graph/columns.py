@@ -27,12 +27,13 @@ contents.  Every mutation drops the memos that could have changed,
 exactly like :attr:`EdgeColumn.index`, so copying a column never
 copies a memo and a write costs O(changes).
 
-Mutating methods must only ever be called by a store that owns the
-column privately (the store's COW machinery clones a shared column
-before its first write).  Read methods never modify the base or the
-overlay; they may memoize a merged result in a single attribute
-assignment or dict insert, which is GIL-atomic and idempotent, so
-frozen snapshots shared across reader threads stay safe.
+Mutating methods must only ever be called by the store whose fork
+epoch the column's ``epoch`` carries; any other store first replaces
+the column with ``clone(its epoch)``.  Read methods never modify the
+base or the overlay; they may memoize a merged result in a single
+attribute assignment or dict insert, which is GIL-atomic and
+idempotent, so frozen snapshots shared across reader threads stay
+safe.
 """
 
 from __future__ import annotations
@@ -197,9 +198,7 @@ class IdSlotMap:
 
     def clone(self) -> "IdSlotMap":
         twin = IdSlotMap.__new__(IdSlotMap)
-        fresh = array("q")
-        fresh.frombytes(self._direct.tobytes())
-        twin._direct = fresh
+        twin._direct = self._direct[:]
         twin._overflow = dict(self._overflow)
         return twin
 
@@ -215,13 +214,14 @@ class IntColumn:
     cardinality stays O(1).
     """
 
-    __slots__ = ("base", "adds", "dels", "count", "_merged", "_frozenset")
+    __slots__ = ("base", "adds", "dels", "count", "epoch", "_merged", "_frozenset")
 
-    def __init__(self, values: Optional[array] = None) -> None:
+    def __init__(self, values: Optional[array] = None, epoch: int = 0) -> None:
         self.base: array = values if values is not None else array("q")
         self.adds: Set[int] = set()
         self.dels: Set[int] = set()
         self.count: int = len(self.base)
+        self.epoch = epoch
         self._merged: Optional[array] = None
         self._frozenset: Optional[frozenset] = None
 
@@ -302,13 +302,15 @@ class IntColumn:
     def __len__(self) -> int:
         return self.count
 
-    def clone(self) -> "IntColumn":
-        """A private twin sharing the (immutable-by-convention) base."""
+    def clone(self, epoch: int) -> "IntColumn":
+        """A twin writable at ``epoch``, sharing the (immutable-by-
+        convention) base."""
         twin = IntColumn.__new__(IntColumn)
         twin.base = self.base
         twin.adds = set(self.adds)
         twin.dels = set(self.dels)
         twin.count = self.count
+        twin.epoch = epoch
         twin._merged = self._merged
         twin._frozenset = self._frozenset
         return twin
@@ -510,13 +512,15 @@ class EdgeColumn:
         "del_out",
         "del_in",
         "count",
+        "epoch",
         "index",
         "out_sets",
         "in_sets",
         "_frozenset",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, epoch: int = 0) -> None:
+        self.epoch = epoch
         self.add_set: Set[Tuple[int, int]] = set()
         self.del_set: Set[Tuple[int, int]] = set()
         self.add_out: Dict[int, Tuple[int, ...]] = {}
@@ -529,9 +533,9 @@ class EdgeColumn:
         self._bind(empty, empty)
 
     @classmethod
-    def from_pairs(cls, pairs: List[Tuple[int, int]]) -> "EdgeColumn":
+    def from_pairs(cls, pairs: List[Tuple[int, int]], epoch: int = 0) -> "EdgeColumn":
         """A column holding ``pairs`` (sorted, duplicate-free) as its base."""
-        col = cls()
+        col = cls(epoch)
         col._bind(build_csr(pairs), build_csr(sorted((t, s) for s, t in pairs)))
         col.count = len(pairs)
         return col
@@ -715,11 +719,12 @@ class EdgeColumn:
         )
         return fwd + rev
 
-    def clone(self) -> "EdgeColumn":
-        """A private twin sharing the base arrays and their span sets by
-        reference; a constant number of containers whatever the overlay
-        holds (the buckets' tuples are shared, never mutated)."""
+    def clone(self, epoch: int) -> "EdgeColumn":
+        """A twin writable at ``epoch``, sharing the base arrays and their
+        span sets by reference; a constant number of containers whatever
+        the overlay holds (the buckets' tuples are shared, never mutated)."""
         twin = EdgeColumn.__new__(EdgeColumn)
+        twin.epoch = epoch
         twin.fwd_keys = self.fwd_keys
         twin.fwd_offs = self.fwd_offs
         twin.fwd_vals = self.fwd_vals

@@ -30,10 +30,12 @@ per node is copied when a published version diverges.  Statistics are
 versioned by :attr:`stats_epoch`, which advances on every structural
 change (node/edge add/remove) but not on print-value updates.
 
-``fork(frozen=True)`` shares every column by reference and privatizes
-per column on the live side's first write, so MVCC captures cost O(1)
-and divergence costs O(changes).  Undo journals and WAL redo records
-carry interned label ids instead of strings.
+``fork()`` (a frozen snapshot) and ``copy()`` (a mutable clone) share
+every column by reference.  Each store carries a fork epoch and writes
+a container in place only when the container carries that epoch,
+cloning it first otherwise, so MVCC captures cost O(1) and divergence
+costs O(changes).  Undo journals and WAL redo records carry interned
+label ids instead of strings.
 
 The store enforces only graph-level integrity (no dangling edges, no
 duplicate edges).  GOOD-specific constraints live in
@@ -45,11 +47,12 @@ the reproduction reproducible run-to-run.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.graph.adjacency import AdjacencyIndex
 from repro.graph.columns import (
@@ -68,6 +71,14 @@ from repro.graph.columns import (
 
 class GraphStoreError(Exception):
     """Raised on graph-level integrity violations (unknown node, ...)."""
+
+
+#: Fork epochs for every store in the process.  Process-wide so that no
+#: two stores ever hold the same epoch: a container carrying a store's
+#: current epoch was created or cloned by that store since its last
+#: fork, so no other store can reach it.  Starts at 1 so a group stamp
+#: of 0 matches no store.
+_FORK_EPOCHS = itertools.count(1)
 
 
 @dataclass
@@ -242,15 +253,12 @@ class GraphStore:
         # cached derived data
         "_empty_adjacency",
         "_plan_cache",
-        # copy-on-write state
+        # copy-on-write state: this store's fork epoch and the epochs at
+        # which it privatized the top-level dicts and the node columns
         "_frozen",
-        "_shared_data",
-        "_cow_inner",
-        "_owned_node_cols",
-        "_owned_print_col",
-        "_owned_members",
-        "_owned_prints",
-        "_owned_ecols",
+        "_epoch",
+        "_dicts_epoch",
+        "_nodes_epoch",
     )
 
     def __init__(self) -> None:
@@ -266,8 +274,9 @@ class GraphStore:
         self._ids = IntColumn()
         # label id -> sorted membership column
         self._members: Dict[int, IntColumn] = {}
-        # (label id, print value) -> set of node ids
-        self._prints: Dict[Tuple[int, Any], Set[int]] = {}
+        # (label id, print value) -> frozenset of node ids, replaced on
+        # write (value uniqueness keeps instance buckets at one node)
+        self._prints: Dict[Tuple[int, Any], FrozenSet[int]] = {}
         # edge label id -> bidirectional CSR adjacency column
         self._ecols: Dict[int, EdgeColumn] = {}
         # (node label id, edge label id) -> edge totals for the planner
@@ -290,13 +299,7 @@ class GraphStore:
         self._plan_cache: Optional[Dict[Any, Any]] = None
         # --- copy-on-write state (see fork) ---
         self._frozen = False
-        self._shared_data = False
-        self._cow_inner = False
-        self._owned_node_cols = False
-        self._owned_print_col = False
-        self._owned_members: Set[int] = set()
-        self._owned_prints: Set[Tuple[int, Any]] = set()
-        self._owned_ecols: Set[int] = set()
+        self._epoch = self._dicts_epoch = self._nodes_epoch = next(_FORK_EPOCHS)
 
     # ------------------------------------------------------------------
     # change tracking
@@ -362,30 +365,39 @@ class GraphStore:
         """Whether this store is an immutable snapshot (mutators raise)."""
         return self._frozen
 
-    def fork(self, *, frozen: bool = True) -> "GraphStore":
-        """Return an O(1) copy-on-write clone of this store.
+    def fork(self) -> "GraphStore":
+        """Return an O(1) frozen snapshot of this store (the MVCC publish path).
 
-        The clone shares *every* column and index structure with this
-        store; nothing is copied at fork time.  The live side pays for
-        divergence lazily: its first mutation after the fork
-        pointer-copies the top-level dicts, node columns are copied on
-        the first write that touches them, and each touched per-label
-        column is privatized once (tracked by the ``_owned_*`` state),
-        so the bytes copied are proportional to the changes made — not
-        to the store.  Neither side ever mutates a structure the other
-        can still see; sorted-adjacency indexes and frozenset views are
-        memoized *on the shared columns*, so a frozen snapshot and its
-        parent keep returning the identical objects until the live side
+        The snapshot shares *every* container with this store; nothing
+        is copied at fork time.  A store writes a container in place
+        only when the container carries the store's fork epoch, and
+        otherwise first replaces it with ``clone(epoch)``.  Forking
+        moves a live parent to a fresh epoch, so its first write to each
+        shared column clones that column once: the bytes copied follow
+        the changes, not the store.  The top-level dicts and the
+        slot/id/print columns are stamped as two groups
+        (``_dicts_epoch``, ``_nodes_epoch``).  Sorted-adjacency indexes
+        and frozenset views are memoized *on the shared columns*, so
+        both sides return the identical objects until the live side
         writes to that column.
 
-        With ``frozen=True`` (the default) the clone is an immutable
-        published snapshot: concurrent readers may use it freely, and
-        forking it again never touches this store.  ``frozen=False``
-        yields a mutable clone (both sides then COW against each
-        other).  Trackers and journals never carry over; the compiled
-        plan cache is *shared* — entries are keyed by ``stats_epoch``,
-        so versions at different epochs coexist in one cache.
+        The snapshot refuses every mutator; readers may use, fork or
+        copy it concurrently without touching this store.  Trackers and
+        journals never carry over; the compiled plan cache is *shared*
+        — entries are keyed by ``stats_epoch``, so versions at
+        different epochs coexist in one cache.
         """
+        if self._plan_cache is None and not self._frozen:
+            # pre-create so all versions share one epoch-keyed cache
+            self._plan_cache = OrderedDict()
+        clone = self._share()
+        clone._frozen = True
+        clone._plan_cache = self._plan_cache
+        return clone
+
+    def _share(self) -> "GraphStore":
+        """A clone sharing every container with this store; the caller
+        sets ``_frozen`` and ``_plan_cache``."""
         clone = GraphStore.__new__(GraphStore)
         clone._slot_label = self._slot_label
         clone._slot_print = self._slot_print
@@ -405,28 +417,13 @@ class GraphStore:
         clone._trackers = []
         clone._journals = []
         clone._empty_adjacency = self._empty_adjacency
-        if self._plan_cache is None and not self._frozen:
-            # pre-create so all versions share one epoch-keyed cache
-            self._plan_cache = OrderedDict()
-        clone._plan_cache = self._plan_cache
-        clone._frozen = frozen
-        clone._shared_data = True
-        clone._cow_inner = True
-        clone._owned_node_cols = False
-        clone._owned_print_col = False
-        clone._owned_members = set()
-        clone._owned_prints = set()
-        clone._owned_ecols = set()
+        # no shared container carries a fresh epoch, and no epoch is 0
+        clone._epoch = next(_FORK_EPOCHS)
+        clone._dicts_epoch = clone._nodes_epoch = 0
         if not self._frozen:
-            # the live parent must now COW too; a frozen parent never
-            # mutates, so forking it is read-only (and thread-safe)
-            self._shared_data = True
-            self._cow_inner = True
-            self._owned_node_cols = False
-            self._owned_print_col = False
-            self._owned_members = set()
-            self._owned_prints = set()
-            self._owned_ecols = set()
+            # the live parent must now copy on write too; a frozen parent
+            # never mutates, so forking it is read-only (and thread-safe)
+            self._epoch = next(_FORK_EPOCHS)
         return clone
 
     def _before_write(self) -> None:
@@ -434,69 +431,45 @@ class GraphStore:
         if self._frozen:
             raise GraphStoreError(
                 "store is frozen (a published MVCC snapshot); "
-                "fork(frozen=False) yields a mutable clone"
+                "copy() yields a mutable clone"
             )
-        if self._shared_data:
+        if self._dicts_epoch != self._epoch:
             self._members = dict(self._members)
             self._prints = dict(self._prints)
             self._ecols = dict(self._ecols)
             self._out_stats = dict(self._out_stats)
             self._in_stats = dict(self._in_stats)
-            self._shared_data = False
+            self._dicts_epoch = self._epoch
 
     def _own_node_cols(self) -> None:
-        """Privatize the slot/id columns before the first node write."""
-        if not self._cow_inner or self._owned_node_cols:
+        """Privatize the slot, id and print columns before a node write."""
+        epoch = self._epoch
+        if self._nodes_epoch == epoch:
             return
-        labels = array("q")
-        labels.frombytes(self._slot_label.tobytes())
-        self._slot_label = labels
-        ids = array("q")
-        ids.frombytes(self._slot_id.tobytes())
-        self._slot_id = ids
+        self._slot_label = self._slot_label[:]
+        self._slot_id = self._slot_id[:]
+        self._slot_print = list(self._slot_print)
         self._id_map = self._id_map.clone()
         self._free = list(self._free)
-        self._ids = self._ids.clone()
-        self._owned_node_cols = True
+        self._ids = self._ids.clone(epoch)
+        self._nodes_epoch = epoch
 
-    def _own_print_col(self) -> None:
-        """Privatize the print column before the first print write."""
-        if not self._cow_inner or self._owned_print_col:
-            return
-        self._slot_print = list(self._slot_print)
-        self._owned_print_col = True
-
-    def _own_member(self, lid: int) -> IntColumn:
-        col = self._members.get(lid)
+    def _own(self, table: Dict[int, Any], key: int, factory: Callable[..., Any]) -> Any:
+        """``table[key]`` made writable in place: created by ``factory``
+        when missing, cloned when it carries another store's epoch."""
+        col = table.get(key)
         if col is None:
-            col = self._members[lid] = IntColumn()
-            if self._cow_inner:
-                self._owned_members.add(lid)
-            return col
-        if self._cow_inner and lid not in self._owned_members:
-            col = self._members[lid] = col.clone()
-            self._owned_members.add(lid)
+            col = table[key] = factory(epoch=self._epoch)
+        elif col.epoch != self._epoch:
+            col = table[key] = col.clone(self._epoch)
         return col
 
-    def _own_print_set(self, key: Tuple[int, Any]) -> None:
-        if not self._cow_inner or key in self._owned_prints:
-            return
-        nodes = self._prints.get(key)
-        if nodes is not None:
-            self._prints[key] = set(nodes)
-        self._owned_prints.add(key)
-
-    def _own_ecol(self, elid: int) -> EdgeColumn:
-        col = self._ecols.get(elid)
-        if col is None:
-            col = self._ecols[elid] = EdgeColumn()
-            if self._cow_inner:
-                self._owned_ecols.add(elid)
-            return col
-        if self._cow_inner and elid not in self._owned_ecols:
-            col = self._ecols[elid] = col.clone()
-            self._owned_ecols.add(elid)
-        return col
+    def _drop_print(self, key: Tuple[int, Any], node_id: int) -> None:
+        rest = self._prints[key] - {node_id}
+        if rest:
+            self._prints[key] = rest
+        else:
+            del self._prints[key]
 
     # ------------------------------------------------------------------
     # node operations
@@ -518,7 +491,6 @@ class GraphStore:
             self._next_id = max(self._next_id, node_id + 1)
         lid = intern_label(label)
         self._own_node_cols()
-        self._own_print_col()
         if self._free:
             slot = self._free.pop()
             self._slot_label[slot] = lid
@@ -531,11 +503,10 @@ class GraphStore:
             self._slot_print.append(print_value)
         self._id_map.set(node_id, slot)
         self._ids.add(node_id)
-        self._own_member(lid).add(node_id)
+        self._own(self._members, lid, IntColumn).add(node_id)
         if print_value is not NO_PRINT:
             key = (lid, print_value)
-            self._own_print_set(key)
-            self._prints.setdefault(key, set()).add(node_id)
+            self._prints[key] = self._prints.get(key, EMPTY_SET) | {node_id}
         self._generation += 1
         self._stats_epoch += 1
         for tracker in self._trackers:
@@ -553,15 +524,9 @@ class GraphStore:
         lid = self._slot_label[slot]
         print_value = self._slot_print[slot]
         self._own_node_cols()
-        self._own_print_col()
-        self._own_member(lid).discard(node_id)
+        self._own(self._members, lid, IntColumn).discard(node_id)
         if print_value is not NO_PRINT:
-            key = (lid, print_value)
-            self._own_print_set(key)
-            nodes = self._prints[key]
-            nodes.discard(node_id)
-            if not nodes:
-                del self._prints[key]
+            self._drop_print((lid, print_value), node_id)
         self._slot_label[slot] = -1
         self._slot_id[slot] = -1
         self._slot_print[slot] = NO_PRINT
@@ -584,18 +549,12 @@ class GraphStore:
         lid = self._slot_label[slot]
         old_value = self._slot_print[slot]
         if old_value is not NO_PRINT:
-            key = (lid, old_value)
-            self._own_print_set(key)
-            nodes = self._prints[key]
-            nodes.discard(node_id)
-            if not nodes:
-                del self._prints[key]
-        self._own_print_col()
+            self._drop_print((lid, old_value), node_id)
+        self._own_node_cols()
         self._slot_print[slot] = print_value
         if print_value is not NO_PRINT:
             key = (lid, print_value)
-            self._own_print_set(key)
-            self._prints.setdefault(key, set()).add(node_id)
+            self._prints[key] = self._prints.get(key, EMPTY_SET) | {node_id}
         self._generation += 1
         for journal in self._journals:
             journal.entries.append(("set_print", node_id, old_value, print_value))
@@ -643,11 +602,12 @@ class GraphStore:
         return EMPTY_SET if col is None else col.as_frozenset()
 
     def nodes_with_print(self, label: str, print_value: Any) -> FrozenSet[int]:
-        """All node ids with the given label *and* print value."""
+        """All node ids with the given label *and* print value (the
+        stored bucket: identical across calls until it changes)."""
         lid = lookup_label(label)
         if lid < 0:
-            return frozenset()
-        return frozenset(self._prints.get((lid, print_value), frozenset()))
+            return EMPTY_SET
+        return self._prints.get((lid, print_value), EMPTY_SET)
 
     def labels_in_use(self) -> FrozenSet[str]:
         """The set of node labels that occur in the store."""
@@ -679,7 +639,7 @@ class GraphStore:
         self._before_write()
         if elid < 0:
             elid = intern_label(label)
-        self._own_ecol(elid).add(source, target)
+        self._own(self._ecols, elid, EdgeColumn).add(source, target)
         out_key = (self._slot_label[s_slot], elid)
         self._out_stats[out_key] = self._out_stats.get(out_key, 0) + 1
         in_key = (self._slot_label[t_slot], elid)
@@ -700,7 +660,7 @@ class GraphStore:
         if existing is None or not existing.has(source, target):
             return False
         self._before_write()
-        self._own_ecol(elid).remove(source, target)
+        self._own(self._ecols, elid, EdgeColumn).remove(source, target)
         out_key = (self._slot_label[self._id_map.get(source)], elid)
         if self._out_stats[out_key] == 1:
             del self._out_stats[out_key]
@@ -950,19 +910,16 @@ class GraphStore:
     def copy(self) -> "GraphStore":
         """Copy the store; node ids and the id counter carry over.
 
-        Implemented as a mutable copy-on-write fork: both sides keep
-        deep-copy semantics but only pay for the columns they actually
-        touch afterwards.  The compiled plan cache deliberately does
-        not carry over (unlike :meth:`fork`, a copy is an independent
-        database, not a version of this one).
+        The one mutable clone, of a live or a frozen store alike: it
+        shares every container under :meth:`fork`'s copy-on-write rule,
+        so both sides keep deep-copy semantics but only pay for the
+        containers they touch afterwards.  The compiled plan cache
+        deliberately does not carry over (unlike :meth:`fork`, a copy is
+        an independent database, not a version of this one).
         """
-        if self._frozen:
-            return self.fork(frozen=False)
-        had_plan_cache = self._plan_cache is not None
-        clone = self.fork(frozen=False)
+        clone = self._share()
+        clone._frozen = False
         clone._plan_cache = None
-        if not had_plan_cache:
-            self._plan_cache = None
         return clone
 
     def degree(self, node_id: int) -> int:
@@ -1064,22 +1021,22 @@ class GraphStore:
         for index, value in columns["prints"]:
             node_id = node_ids[index]
             slot_print[index] = value
-            lid = labels[node_labels[index]]
-            store._prints.setdefault((lid, value), set()).add(node_id)
+            key = (labels[node_labels[index]], value)
+            store._prints[key] = store._prints.get(key, EMPTY_SET) | {node_id}
         ids = array("q", node_ids)
         if any(ids[i] > ids[i + 1] for i in range(len(ids) - 1)):
             ids = array("q", sorted(ids))
         store._ids = IntColumn(ids)
         for lid, nodes in members.items():
             nodes.sort()
-            store._members[lid] = IntColumn(array("q", nodes))
+            store._members[lid] = IntColumn(array("q", nodes), store._epoch)
         edge_count = 0
         for local_id, flat in columns["edges"]:
             elid = labels[local_id]
             pairs = sorted(
                 (flat[i], flat[i + 1]) for i in range(0, len(flat), 2)
             )
-            store._ecols[elid] = EdgeColumn.from_pairs(pairs)
+            store._ecols[elid] = EdgeColumn.from_pairs(pairs, store._epoch)
             edge_count += len(pairs)
             for source, target in pairs:
                 s_lid = slot_label[id_map.get(source)]

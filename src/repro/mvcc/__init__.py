@@ -11,7 +11,9 @@ from a pinned version with no read lock at all.
 The copy-on-write substrate lives with each backend:
 
 * native — :meth:`repro.graph.store.GraphStore.fork` (O(1) frozen
-  forks; the live store privatizes touched structures before writing);
+  forks; each store carries a fork epoch and writes a container in
+  place only when the container carries it, cloning it first
+  otherwise);
 * relational — :meth:`repro.storage.minirel.Database.fork` (O(#tables)
   forks with per-table copy-on-first-write segments);
 * tarski — the engine's relations are already immutable, so a version

@@ -2,17 +2,17 @@
 
 A :class:`SnapshotReader` looks exactly like a
 :class:`~repro.server.catalog.ServedDatabase` to the session layer —
-same ``matchings`` / ``query_program`` / ``explain`` / ``browse`` /
-``to_json`` / ``save`` verbs — but every verb executes against one
-pinned immutable version, so no read lock is ever taken and a writer
-can commit mid-query without the reader noticing.
+same ``matchings`` / ``explain`` / ``browse`` / ``to_json`` / ``save``
+verbs — but every verb executes against one pinned immutable version,
+so no read lock is ever taken and a writer can commit mid-query
+without the reader noticing.
 
-``query_program`` deserves a note: the engines' live query path is
-capture/run/restore against the *shared* engine, which is only safe
-under an exclusive lock.  The snapshot path instead runs each QUERY on
-a fresh copy-on-write clone of the pinned version
-(:meth:`Version.query_target`), so any number of concurrent queries
-coexist — and none of them can perturb the snapshot.
+It also serves ``QUERY`` (``query_program``), the one verb only a
+reader has: each run gets a fresh mutable copy-on-write clone of the
+pinned version (``GraphStore.copy`` through ``Session.query`` on the
+native backend, :meth:`Version.query_target` on the engines), so any
+number of concurrent queries coexist — and none of them can perturb
+the snapshot or the live database's plan cache.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class SnapshotReader(ServedDatabase):
     def query_program(self, source: str) -> Tuple[List[Any], Tuple[int, int]]:
         program = self._compile(source)
         if self.session is not None:
-            # Session.query copies the instance first; copying a frozen
-            # store is an O(1) mutable fork
+            # Session.query copies the instance first: an O(1) mutable
+            # clone of the frozen store, with a plan cache of its own
             result = self.session.query(program)
             return list(result.reports), (result.instance.node_count, result.instance.edge_count)
         engine = self._version.query_target()

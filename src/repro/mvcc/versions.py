@@ -176,7 +176,7 @@ def capture_version(database: Any) -> Version:
     """
     if database.session is not None:
         live = database.session.instance
-        frozen = Instance(live.scheme.copy(), _store=live.store.fork(frozen=True))
+        frozen = Instance(live.scheme.copy(), _store=live.store.fork())
         return NativeVersion(frozen)
     engine = database.target
     if database.backend == "relational":

@@ -1,7 +1,8 @@
 """The database catalog: named scheme+instance pairs, one backend each.
 
 A :class:`ServedDatabase` wraps one GOOD object base behind a uniform
-verb-shaped API (run / query / matchings / browse / export) so the
+verb-shaped API (run / matchings / browse / export; query mode runs on
+a pinned version, :class:`~repro.mvcc.readers.SnapshotReader`) so the
 session layer never branches on the backend:
 
 * ``native`` — the in-memory graph :class:`~repro.core.instance.Instance`,
@@ -13,8 +14,7 @@ session layer never branches on the backend:
   relation algebra substrate).
 
 All three are transactional targets (:mod:`repro.txn.snapshot`), so
-program runs are atomic on every backend and query mode on the engines
-is implemented as run-then-restore against a snapshot.
+program runs are atomic on every backend.
 
 :class:`Catalog` is the name -> database directory with create / drop /
 load / save.  It is deliberately synchronous and lock-free: the server
@@ -42,7 +42,7 @@ from repro.io.serialize import (
 from repro.mvcc import SnapshotRegistry, capture_version
 from repro.server.protocol import register_error_code
 from repro.txn import guards
-from repro.txn.snapshot import capture, restore, summarize
+from repro.txn.snapshot import summarize
 from repro.txn.transaction import Transaction
 from repro.wal import DataDirLockedError, WalError
 
@@ -259,25 +259,6 @@ class ServedDatabase:
         """Claim the checkpoint job deferred by the last run (or ``None``)."""
         job, self._pending_checkpoint = self._pending_checkpoint, None
         return job
-
-    def query_program(self, source: str) -> Tuple[List[Any], Tuple[int, int]]:
-        """Query-mode run: the result is "only a temporary entity".
-
-        Returns the per-operation reports and the (nodes, edges) size
-        of the temporary result.  The served state is untouched: the
-        native backend runs on a copy, the engines run inside a
-        snapshot that is restored afterwards.
-        """
-        program = self._compile(source)
-        if self.session is not None:
-            result = self.session.query(program)
-            return list(result.reports), (result.instance.node_count, result.instance.edge_count)
-        state = capture(self.target)
-        try:
-            reports = list(self.target.run(program.operations, atomic=False))
-            return reports, summarize(self.target)
-        finally:
-            restore(self.target, state)
 
     def explain(self, pattern_source: str) -> Dict[str, Any]:
         """The compiled match plan for a DSL pattern (no execution).

@@ -174,7 +174,9 @@ class ReferenceGraphStore:
         clone._edge_label_views = self._edge_label_views
         clone._out_views = self._out_views
         clone._in_views = self._in_views
-        if frozen or self._frozen:
+        if frozen:
+            # entries are keyed by stats_epoch, which a mutable clone
+            # reaches again with different contents: share only frozen
             clone._adjacency_cache = self._adjacency_cache
         else:
             clone._adjacency_cache = OrderedDict()
@@ -613,7 +615,11 @@ class ReferenceGraphStore:
     def copy(self) -> "ReferenceGraphStore":
         """Deep-copy the store; node ids and the id counter carry over."""
         if self._frozen:
-            return self.fork(frozen=False)
+            # a copy is an independent database: it must not plan into
+            # the epoch-keyed plan cache of the versions it came from
+            clone = self.fork(frozen=False)
+            clone._plan_cache = None
+            return clone
         clone = ReferenceGraphStore()
         clone._nodes = dict(self._nodes)
         clone._out = {n: {lbl: set(ts) for lbl, ts in adj.items()} for n, adj in self._out.items()}

@@ -5,11 +5,13 @@ slot columns, a free list that recycles slots, and CSR adjacency as the
 primary edge representation.  None of that machinery may be observable
 through the store API.  We drive both implementations through the same
 random interleaving of mutations — adds, removes (which exercise slot
-reuse through the free list), print rewrites, edge churn, copy-on-write
-forks and checkpoint round trips — and assert the full observable
-surface matches at every step: node/edge sets, labels, prints,
-neighbour sets, label and edge-label sets, degrees, sorted adjacency
-contents, and iteration order.
+reuse through the free list), print rewrites, edge churn, overlay
+flushes, copies and checkpoint round trips — and assert the full
+observable surface matches at every step: node/edge sets, labels,
+prints, neighbour sets, label and edge-label sets, degrees, sorted
+adjacency contents, and iteration order.  Published snapshots
+(``fork()``) are retained across later steps and must keep showing
+their fork-time state: that is what the copy-on-write rule protects.
 
 Removals followed by adds deliberately hammer the free list (a slot id
 from a dead node is recycled for a live one), and the label pool is
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.graph import NO_PRINT, GraphStore, GraphStoreError
+from repro.graph import NO_PRINT, GraphStore, GraphStoreError, columns
 from repro.testing import ReferenceGraphStore
 
 SETTINGS = settings(max_examples=40, stateful_step_count=60, deadline=None)
@@ -58,6 +60,11 @@ def observable_state(store):
         }
     return {
         "nodes": nodes,
+        "prints": {
+            (label, value): store.nodes_with_print(label, value)
+            for label, value in nodes.values()
+            if value is not NO_PRINT
+        },
         "iteration": list(store),
         "sorted_by_label": {
             label: list(store.sorted_nodes_with_label(label)) for label in NODE_LABELS
@@ -81,6 +88,15 @@ class ColumnarMatchesReference(RuleBasedStateMachine):
         self.reference = ReferenceGraphStore()
         self.live = []  # node ids present in both stores
         self.dead = []  # removed ids: re-adding them exercises slot reuse
+        # the last three published (columnar, reference) snapshot pairs,
+        # each with the observable state both showed when forked
+        self.retained = []
+        # fold overlays after a few pending changes instead of 64, so
+        # flushes (fresh base arrays under shared columns) happen in a run
+        self._flush_min, columns._FLUSH_MIN = columns._FLUSH_MIN, 2
+
+    def teardown(self):
+        columns._FLUSH_MIN = self._flush_min
 
     def _pair(self, action):
         """Apply ``action`` to both stores; they must agree on outcome."""
@@ -149,11 +165,19 @@ class ColumnarMatchesReference(RuleBasedStateMachine):
         self._pair(lambda s: s.remove_edge(source, label, target))
 
     @rule()
-    def fork_and_diverge(self):
-        """Fork both stores, mutate the children, drop them: the COW
-        machinery must leave the parents untouched."""
-        children = (self.columnar.fork(frozen=False), self.reference.fork(frozen=False))
-        node = next(iter(self.live), None)
+    def publish(self):
+        """Fork both stores (the MVCC publish path) and retain the pair."""
+        pair = (self.columnar.fork(), self.reference.fork())
+        self.retained = self.retained[-2:] + [pair + (observable_state(pair[0]),)]
+
+    @rule(data=st.data())
+    def fork_and_diverge(self, data):
+        """Copy both live stores, or a retained snapshot pair, mutate the
+        copies and drop them: the sources must stay untouched."""
+        sources = [(self.columnar, self.reference)]
+        sources += [(columnar, reference) for columnar, reference, _ in self.retained]
+        children = tuple(store.copy() for store in data.draw(st.sampled_from(sources)))
+        node = next(iter(children[0]), None)
         for child in children:
             fresh = child.add_node("Tag", print_value="fork-local")
             if node is not None:
@@ -174,6 +198,12 @@ class ColumnarMatchesReference(RuleBasedStateMachine):
     @invariant()
     def next_ids_agree(self):
         assert self.columnar.next_id == self.reference.next_id
+
+    @invariant()
+    def retained_snapshots_hold(self):
+        for columnar, reference, state in self.retained:
+            assert observable_state(columnar) == state
+            assert observable_state(reference) == state
 
 
 ColumnarMatchesReference.TestCase.settings = SETTINGS

@@ -196,13 +196,17 @@ def test_pattern_signature_distinguishes_structure(tiny_scheme):
 
 
 def test_copy_does_not_share_the_plan_cache(tiny_scheme, tiny_instance):
+    """Neither a copy of the live instance nor a copy of a published
+    (frozen) fork of it plans into the live cache."""
     pattern, _, _ = knows_pattern(tiny_scheme)
     plan_for(pattern, tiny_instance)
-    clone = tiny_instance.copy()
-    assert cached_plan_count(clone) == 0
-    _, hit = plan_for(pattern, clone)
-    assert not hit
-    assert cached_plan_count(tiny_instance) == 1
+    snapshot = Instance(tiny_scheme, _store=tiny_instance.store.fork())
+    for source in (tiny_instance, snapshot):
+        clone = source.copy()
+        assert cached_plan_count(clone) == 0
+        _, hit = plan_for(pattern, clone)
+        assert not hit
+        assert cached_plan_count(tiny_instance) == 1
 
 
 # ----------------------------------------------------------------------

@@ -350,7 +350,7 @@ def test_frozen_fork_shares_sorted_adjacency_by_identity():
     db = dense_instance(n=8, degree=3)
     store = db.store
     live_index = store.sorted_adjacency("e")
-    snapshot = store.fork(frozen=True)
+    snapshot = store.fork()
     assert snapshot.sorted_adjacency("e") is live_index
     # the live side mutates: it gets a fresh index, the snapshot keeps
     # hitting the entry pinned at its own epoch
