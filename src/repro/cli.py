@@ -731,8 +731,7 @@ def _connect_repl(client) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        instance = load_instance(args.file)
-        instance.validate()
+        instance = load_instance(args.file)  # loading validates
     except (GoodError, OSError, ValueError) as error:
         print(f"INVALID: {error}", file=sys.stderr)
         return 1

@@ -50,12 +50,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.core.errors import GoodError
-from repro.io.serialize import instance_from_json
 from repro.server.catalog import Catalog
 from repro.server.protocol import register_error_code
 from repro.server.server import GoodServer
 from repro.server.session import VERBS, ServerSession
-from repro.wal.checkpoint import parse_epoch, segment_name
+from repro.wal.checkpoint import checkpoint_instance, checkpoint_name, parse_epoch, segment_name
 from repro.wal.log import WalReader
 from repro.wal.manager import DataDirectory, META_NAME
 from repro.wal.record import WalFormatError
@@ -207,7 +206,7 @@ class WalTailer:
         """Rebuild a database from its newest checkpoint + all segments."""
         meta = DataDirectory._read_meta(directory)
         doc, epoch, _skipped = DataDirectory._latest_valid_checkpoint(directory)
-        instance = instance_from_json(doc["instance"])
+        instance = checkpoint_instance(directory / checkpoint_name(epoch), doc)
         if name in self.catalog:
             database = self.catalog.get(name)
             replace_state(database, instance)

@@ -63,6 +63,18 @@ class BackendError(GoodError):
     """Failure inside a storage backend (relational/Tarski engines)."""
 
 
+class SerializationError(GoodError):
+    """Malformed serialised data.
+
+    Always names the offending key (and, for node/edge entries or
+    column cells, the list position) so a server can reject a bad
+    payload with a precise, structured error instead of a bare
+    ``KeyError``/``TypeError``.  Raised by :mod:`repro.io.serialize`
+    and by the bulk constructor
+    :meth:`repro.graph.store.GraphStore.from_columns`.
+    """
+
+
 class TransactionError(GoodError):
     """Misuse of the transaction layer (:mod:`repro.txn`).
 

@@ -22,7 +22,7 @@ instances and therefore reuse this class (see
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, FrozenSet, Iterator, Optional, Set, Tuple
+from typing import Any, FrozenSet, Iterator, Optional, Tuple
 
 from repro.core.errors import InstanceError
 from repro.core.scheme import Scheme
@@ -349,41 +349,63 @@ class Instance:
         self._scheme = scheme
 
     def validate(self) -> None:
-        """Re-check every instance constraint from scratch."""
-        seen_prints: Set[Tuple[str, Any]] = set()
-        for node_id in self._store.nodes():
-            record = self._store.node(node_id)
-            if not self._scheme.has_node_label(record.label):
-                raise InstanceError(f"node {node_id} has undeclared label {record.label!r}")
-            if record.has_print:
-                if not self._scheme.is_printable_label(record.label):
-                    raise InstanceError(f"object node {node_id} carries a print value")
-                self._scheme.domain_of(record.label).check(record.print_value)
-                key = (record.label, record.print_value)
-                if key in seen_prints:
-                    raise InstanceError(f"duplicate printable node for {key!r}")
-                seen_prints.add(key)
-        for node_id in self._store.nodes():
-            for edge_label in self._store.out_labels(node_id):
-                targets = self._store.out_neighbours(node_id, edge_label)
-                target_labels = {self._store.label_of(t) for t in targets}
-                if len(target_labels) > 1:
+        """Re-check every instance constraint from scratch, per column.
+
+        The constraints are properties of sets of nodes and edges, so
+        each is checked once per column rather than once per node: node
+        labels once per label in use, print values once per
+        ``(label, value)`` bucket (a bucket of more than one node breaks
+        value uniqueness), and edges once per edge label on its forward
+        CSR, where a functional label needs every source's span to hold
+        one target, each span's targets must share a label, and the
+        scheme is asked once per distinct (source label, target label)
+        pair.  Reads no per-node neighbour set and charges no counter.
+        The node-by-node formulation lives on as a test oracle
+        (``validate_per_node``), which property tests hold this to.
+        """
+        scheme, store = self._scheme, self._store
+        undeclared = [label for label in store.labels_in_use() if not scheme.has_node_label(label)]
+        if undeclared:
+            node_id, label = min((store.sorted_nodes_with_label(label)[0], label) for label in undeclared)
+            raise InstanceError(f"node {node_id} has undeclared label {label!r}")
+        for label, value, nodes in store.print_buckets():
+            if not scheme.is_printable_label(label):
+                raise InstanceError(f"object node {min(nodes)} carries a print value")
+            scheme.domain_of(label).check(value)
+            if len(nodes) > 1:
+                raise InstanceError(f"duplicate printable node for {(label, value)!r}")
+        for edge_label in sorted(store.edge_labels_in_use()):
+            self._validate_edge_label(edge_label)
+
+    def _validate_edge_label(self, edge_label: str) -> None:
+        sources, offsets, targets = self._store.out_csr(edge_label)
+        source_labels = self._store.labels_of(sources)
+        target_labels = self._store.labels_of(targets)
+        functional = self._scheme.is_functional(edge_label)
+        if len(sources) == len(targets):
+            # every span holds one target: nothing can mix or repeat
+            triples = set(zip(source_labels, target_labels))
+        else:
+            triples = set()
+            for position, source in enumerate(sources):
+                lo, hi = offsets[position], offsets[position + 1]
+                span = target_labels[lo:hi]
+                if span.count(span[0]) != hi - lo:
                     raise InstanceError(
-                        f"node {node_id} has {edge_label!r}-successors with mixed labels "
-                        f"{sorted(target_labels)!r}"
+                        f"node {source} has {edge_label!r}-successors with mixed labels "
+                        f"{sorted(set(span))!r}"
                     )
-                if self._scheme.is_functional(edge_label) and len(targets) > 1:
+                if functional and hi - lo > 1:
                     raise InstanceError(
-                        f"functional edge {edge_label!r} leaves node {node_id} "
-                        f"{len(targets)} times"
+                        f"functional edge {edge_label!r} leaves node {source} {hi - lo} times"
                     )
-                source_label = self._store.label_of(node_id)
-                for target_label in target_labels:
-                    if not self._scheme.allows_edge(source_label, edge_label, target_label):
-                        raise InstanceError(
-                            f"edge triple ({source_label!r}, {edge_label!r}, {target_label!r}) "
-                            "is not permitted by the scheme"
-                        )
+                triples.add((source_labels[position], span[0]))
+        for source_label, target_label in sorted(triples):
+            if not self._scheme.allows_edge(source_label, edge_label, target_label):
+                raise InstanceError(
+                    f"edge triple ({source_label!r}, {edge_label!r}, {target_label!r}) "
+                    "is not permitted by the scheme"
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Instance(nodes={self.node_count}, edges={self.edge_count})"

@@ -42,6 +42,9 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left
+from collections import Counter
+from itertools import accumulate
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 #: Overlay merges trigger once the pending set outgrows
@@ -326,20 +329,11 @@ class IntColumn:
 def build_csr(pairs: List[Tuple[int, int]]) -> Tuple[array, array, array]:
     """``(keys, offs, values)`` CSR arrays from ``(key, value)`` pairs
     already sorted by key then value."""
-    keys = array("q")
+    # a Counter keeps first-insertion order, which is key order here
+    spans = Counter(map(itemgetter(0), pairs))
     offs = array("q", (0,))
-    values = array("q")
-    current = None
-    for key, value in pairs:
-        if key != current:
-            if current is not None:
-                offs.append(len(values))
-            keys.append(key)
-            current = key
-        values.append(value)
-    if current is not None:
-        offs.append(len(values))
-    return keys, offs, values
+    offs.extend(accumulate(spans.values()))
+    return array("q", spans), offs, array("q", map(itemgetter(1), pairs))
 
 
 def _merge_csr(

@@ -50,10 +50,23 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
+from repro.core.errors import SerializationError
 from repro.graph.adjacency import AdjacencyIndex
 from repro.graph.columns import (
     EMPTY_ARRAY,
@@ -1000,58 +1013,92 @@ class GraphStore:
         }
 
     @classmethod
-    def from_columns(cls, columns: Dict[str, Any]) -> "GraphStore":
-        """Rebuild a store from :meth:`snapshot_columns` output."""
-        store = cls()
-        labels = [intern_label(name) for name in columns["labels"]]
+    def from_columns(cls, columns: Mapping[str, Any]) -> "GraphStore":
+        """Build a store in bulk from :meth:`snapshot_columns`-shaped columns.
+
+        The one constructor for a whole database: every document
+        :mod:`repro.io.serialize` reads (format 1 and format 2, hence
+        ``LOAD``, ``CREATE``, checkpoints, WAL reset records and replica
+        resyncs) ends here.  Columns go straight into sorted base
+        arrays, with no overlay and no flush, and ``generation`` /
+        ``stats_epoch`` end at nodes + edges, exactly as if each node
+        and edge had been added one at a time.  A pair repeated within
+        one label's list is one edge.
+
+        The columns are outside input, so they are checked before
+        anything is interned or built.  A violation raises
+        :class:`~repro.core.errors.SerializationError` naming the column
+        and position: labels that are not distinct strings, node ids
+        that are not distinct 64-bit integers, label or print indexes
+        out of range or repeated, unhashable print values, and edge
+        endpoints that name no node.  GOOD's instance constraints are
+        :meth:`repro.core.instance.Instance.validate`'s job.
+        """
+        for key in ("labels", "node_ids", "node_labels", "prints", "edges"):
+            if not isinstance(columns.get(key), list):
+                raise SerializationError(f"column {key!r} is missing or not an array")
+        labels = columns["labels"]
         node_ids = columns["node_ids"]
         node_labels = columns["node_labels"]
-        slot_label = store._slot_label
-        slot_id = store._slot_id
-        slot_print = store._slot_print
+        next_id = columns.get("next_id", 0)
+        local_of = _check_node_columns(labels, node_ids, node_labels)
+        if _first_bad_cell([next_id], _ID_RANGE) >= 0:
+            raise SerializationError(f"'next_id' must be a 64-bit integer, got {next_id!r}")
+        prints = _check_prints(columns["prints"], len(node_ids))
+        edges = _check_edges(columns["edges"], labels, local_of)
+
+        store = cls()
+        lids = [intern_label(name) for name in labels]
+        slot_label = array("q", [lids[local_id] for local_id in node_labels])
+        store._slot_label = slot_label
+        store._slot_id = array("q", node_ids)
+        slot_print = store._slot_print = [NO_PRINT] * len(node_ids)
         id_map = store._id_map
         members: Dict[int, List[int]] = {}
-        for slot, (node_id, local_id) in enumerate(zip(node_ids, node_labels)):
-            lid = labels[local_id]
-            slot_label.append(lid)
-            slot_id.append(node_id)
-            slot_print.append(NO_PRINT)
+        for slot, node_id in enumerate(node_ids):
             id_map.set(node_id, slot)
-            members.setdefault(lid, []).append(node_id)
-        for index, value in columns["prints"]:
-            node_id = node_ids[index]
-            slot_print[index] = value
-            key = (labels[node_labels[index]], value)
-            store._prints[key] = store._prints.get(key, EMPTY_SET) | {node_id}
-        ids = array("q", node_ids)
-        if any(ids[i] > ids[i + 1] for i in range(len(ids) - 1)):
-            ids = array("q", sorted(ids))
-        store._ids = IntColumn(ids)
+            members.setdefault(slot_label[slot], []).append(node_id)
+        store._ids = IntColumn(array("q", sorted(node_ids)))
         for lid, nodes in members.items():
-            nodes.sort()
-            store._members[lid] = IntColumn(array("q", nodes), store._epoch)
+            store._members[lid] = IntColumn(array("q", sorted(nodes)), store._epoch)
+        for index, value in prints:
+            slot_print[index] = value
+            key = (slot_label[index], value)
+            store._prints[key] = store._prints.get(key, EMPTY_SET) | {node_ids[index]}
         edge_count = 0
-        for local_id, flat in columns["edges"]:
-            elid = labels[local_id]
-            pairs = sorted(
-                (flat[i], flat[i + 1]) for i in range(0, len(flat), 2)
-            )
+        for local_id, pairs in edges:
+            elid = lids[local_id]
             store._ecols[elid] = EdgeColumn.from_pairs(pairs, store._epoch)
             edge_count += len(pairs)
-            for source, target in pairs:
-                s_lid = slot_label[id_map.get(source)]
-                t_lid = slot_label[id_map.get(target)]
-                out_key = (s_lid, elid)
-                store._out_stats[out_key] = store._out_stats.get(out_key, 0) + 1
-                in_key = (t_lid, elid)
-                store._in_stats[in_key] = store._in_stats.get(in_key, 0) + 1
+            for stats, end in ((store._out_stats, 0), (store._in_stats, 1)):
+                for local_label, count in Counter(local_of[pair[end]] for pair in pairs).items():
+                    stats[(lids[local_label], elid)] = count
         store._edge_count = edge_count
-        store._next_id = columns.get("next_id", 0)
-        if node_ids:
-            store._next_id = max(store._next_id, max(node_ids) + 1)
-        store._generation = store._ids.count + edge_count
-        store._stats_epoch = store._generation
+        store._next_id = max(next_id, max(node_ids) + 1) if node_ids else next_id
+        store._generation = store._stats_epoch = len(node_ids) + edge_count
         return store
+
+    def labels_of(self, node_ids: Iterable[int]) -> List[str]:
+        """The label of each of ``node_ids``, in order (a bulk
+        :meth:`label_of`; every id must name a node)."""
+        get = self._id_map.get
+        slot_label = self._slot_label
+        return [label_name(slot_label[get(node_id)]) for node_id in node_ids]
+
+    def print_buckets(self) -> Iterator[Tuple[str, Any, FrozenSet[int]]]:
+        """Every ``(label, print value, nodes carrying both)`` bucket,
+        one per distinct label and value in use."""
+        for (lid, value), nodes in self._prints.items():
+            yield label_name(lid), value, nodes
+
+    def out_csr(self, label: str) -> Tuple[array, array, array]:
+        """``label``'s forward CSR ``(sources, offsets, targets)`` with
+        any pending overlay folded in: the targets of ``sources[i]`` are
+        ``targets[offsets[i]:offsets[i + 1]]``, ascending.  Read-only."""
+        col = self._ecol_for(label)
+        if col is None:
+            return EMPTY_ARRAY, array("q", (0,)), EMPTY_ARRAY
+        return col.merged_arrays()[:3]
 
     # ------------------------------------------------------------------
     # internals
@@ -1064,3 +1111,103 @@ class GraphStore:
         if slot < 0:
             raise GraphStoreError(f"unknown node id {node_id!r}")
         return slot
+
+
+# ----------------------------------------------------------------------
+# column checks for GraphStore.from_columns
+# ----------------------------------------------------------------------
+
+#: Node ids live in ``array('q')`` columns.
+_ID_RANGE = (-(2**63), 2**63)
+
+
+def _first_bad_cell(values: List[Any], bounds: Tuple[int, int]) -> int:
+    """Position of the first cell of ``values`` that is not an ``int``
+    (bools are not) in ``range(*bounds)``, or -1 when every cell is."""
+    if set(map(type, values)) <= {int} and (
+        not values or (min(values) >= bounds[0] and max(values) < bounds[1])
+    ):
+        return -1
+    for position, value in enumerate(values):
+        if type(value) is not int or not bounds[0] <= value < bounds[1]:
+            return position
+    return -1
+
+
+def _check_node_columns(labels: List[Any], node_ids: List[Any], node_labels: List[Any]) -> Dict[int, int]:
+    """Check the label table and node columns; return ``node id ->
+    local label id``."""
+    for position, name in enumerate(labels):
+        if not isinstance(name, str):
+            raise SerializationError(f"labels[{position}]: label must be a string, got {name!r}")
+    if len(set(labels)) != len(labels):
+        position = next(i for i, name in enumerate(labels) if name in labels[:i])
+        raise SerializationError(f"labels[{position}]: label {labels[position]!r} listed twice")
+    if len(node_ids) != len(node_labels):
+        raise SerializationError("'node_ids' and 'node_labels' columns differ in length")
+    position = _first_bad_cell(node_ids, _ID_RANGE)
+    if position >= 0:
+        raise SerializationError(
+            f"node_ids[{position}]: node id must be a 64-bit integer, got {node_ids[position]!r}"
+        )
+    position = _first_bad_cell(node_labels, (0, len(labels)))
+    if position >= 0:
+        raise SerializationError(
+            f"node_labels[{position}]: label index {node_labels[position]!r} out of range"
+        )
+    local_of = dict(zip(node_ids, node_labels))
+    if len(local_of) != len(node_ids):
+        seen: Set[int] = set()
+        for position, node_id in enumerate(node_ids):
+            if node_id in seen:
+                raise SerializationError(f"node_ids[{position}]: duplicate node id {node_id}")
+            seen.add(node_id)
+    return local_of
+
+
+def _check_prints(prints: List[Any], node_count: int) -> List[Tuple[int, Any]]:
+    """Check the ``[node index, value]`` print cells; return them as pairs."""
+    checked: List[Tuple[int, Any]] = []
+    taken: Set[int] = set()
+    for position, entry in enumerate(prints):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise SerializationError(f"prints[{position}]: must be a [node index, value] pair")
+        index, value = entry
+        if type(index) is not int or not 0 <= index < node_count:
+            raise SerializationError(f"prints[{position}]: node index {index!r} out of range")
+        if index in taken:
+            raise SerializationError(f"prints[{position}]: node index {index} has a second print value")
+        try:
+            hash(value)
+        except TypeError:
+            raise SerializationError(f"prints[{position}]: print value {value!r} is not hashable") from None
+        taken.add(index)
+        checked.append((index, value))
+    return checked
+
+
+def _check_edges(
+    edges: List[Any], labels: List[str], local_of: Dict[int, int]
+) -> List[Tuple[int, List[Tuple[int, int]]]]:
+    """Check the ``[label index, flat pairs]`` edge cells; return each
+    label's distinct pairs, sorted."""
+    checked: List[Tuple[int, List[Tuple[int, int]]]] = []
+    taken: Set[int] = set()
+    for position, entry in enumerate(edges):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise SerializationError(f"edges[{position}]: must be a [label index, pairs] pair")
+        local_id, flat = entry
+        if type(local_id) is not int or not 0 <= local_id < len(labels):
+            raise SerializationError(f"edges[{position}]: label index {local_id!r} out of range")
+        if local_id in taken:
+            raise SerializationError(f"edges[{position}]: edge label {labels[local_id]!r} listed twice")
+        if not isinstance(flat, list) or len(flat) % 2:
+            raise SerializationError(f"edges[{position}]: pairs must be a flat array of even length")
+        # the type test keeps bools and floats from aliasing integer ids
+        if not (set(map(type, flat)) <= {int} and local_of.keys() >= set(flat)):
+            cell = next(i for i, node_id in enumerate(flat) if type(node_id) is not int or node_id not in local_of)
+            end = "source" if cell % 2 == 0 else "target"
+            raise SerializationError(f"edges[{position}][{cell}]: {end} {flat[cell]!r} names no node")
+        taken.add(local_id)
+        checked.append((local_id, sorted(set(zip(flat[0::2], flat[1::2])))))
+    return checked

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, IO, Union
+from typing import Any, Dict, IO, List, Set, Tuple, Union
 
-from repro.core.errors import GoodError
+from repro.core.errors import InstanceError, SchemeError, SerializationError
 from repro.core.instance import Instance
 from repro.core.scheme import Scheme
-from repro.graph.store import NO_PRINT
+from repro.graph.store import GraphStore
 
 FORMAT_VERSION = 1
 
@@ -28,15 +28,6 @@ FORMAT_VERSION = 1
 #: :func:`instance_from_json` auto-detects both formats; format 1 stays
 #: the default for user-facing SAVE/LOAD documents (diffable, obvious).
 COLUMNAR_FORMAT_VERSION = 2
-
-
-class SerializationError(GoodError):
-    """Malformed serialised data.
-
-    Always names the offending key (and, for node/edge entries, the
-    list position) so a server can reject a bad payload with a precise,
-    structured error instead of a bare ``KeyError``/``TypeError``.
-    """
 
 
 def _require_mapping(data: Any, what: str) -> Dict[str, Any]:
@@ -157,67 +148,145 @@ def instance_to_columnar_json(instance: Instance) -> Dict[str, Any]:
     }
 
 
-def _instance_from_columnar(data: Dict[str, Any]) -> Instance:
-    from repro.graph.store import GraphStore
+def _node_entry(position: int, entry: Any) -> Tuple[int, str]:
+    """``(id, label)`` of a format-1 node entry, checked field by field
+    so a malformed one fails with an error naming its position."""
+    where = f"instance: nodes[{position}]"
+    entry = _require_mapping(entry, where)
+    label = _require_key(entry, "label", where)
+    node_id = _require_key(entry, "id", where)
+    if not isinstance(node_id, int) or isinstance(node_id, bool):
+        raise SerializationError(f"{where}: 'id' must be an integer, got {node_id!r}")
+    if not isinstance(label, str):
+        raise SerializationError(f"{where}: 'label' must be a string, got {label!r}")
+    return node_id, label
 
-    scheme = scheme_from_json(_require_key(data, "scheme", "instance"))
-    for key in ("labels", "node_ids", "node_labels", "prints", "edges"):
-        _require_list(data, key, "instance")
-    if len(data["node_ids"]) != len(data["node_labels"]):
-        raise SerializationError(
-            "instance: 'node_ids' and 'node_labels' columns differ in length"
-        )
-    try:
-        store = GraphStore.from_columns(data)
-    except (TypeError, ValueError, IndexError, KeyError) as error:
-        raise SerializationError(f"instance: malformed columnar document: {error}") from error
-    instance = Instance(scheme, _store=store)
-    instance.validate()
-    return instance
+
+def _edge_entry(position: int, entry: Any) -> Tuple[int, str, int]:
+    """``(source, label, target)`` of a format-1 edge entry, checked
+    like :func:`_node_entry`."""
+    where = f"instance: edges[{position}]"
+    entry = _require_mapping(entry, where)
+    source = _require_key(entry, "source", where)
+    label = _require_key(entry, "label", where)
+    target = _require_key(entry, "target", where)
+    for key, endpoint in (("source", source), ("target", target)):
+        if not isinstance(endpoint, int) or isinstance(endpoint, bool):
+            raise SerializationError(f"{where}: {key!r} must be an integer node id, got {endpoint!r}")
+    if not isinstance(label, str):
+        raise SerializationError(f"{where}: 'label' must be a string, got {label!r}")
+    return source, label, target
+
+
+def _columns_from_records(scheme: Scheme, data: Dict[str, Any]) -> Dict[str, Any]:
+    """Format 1's node and edge entries as :meth:`GraphStore.from_columns`
+    columns, each entry checked once where it stands.
+
+    Located checks (``nodes[i]`` / ``edges[i]``): entry shape, id and
+    label types, label kind in the scheme, the print value's domain
+    (the checked value is the one stored), value uniqueness, an object
+    node carrying a print, a repeated node id and an edge endpoint that
+    names no node.  The label table lists node labels, then edge
+    labels, each in order of first appearance, so interning it assigns
+    the ids a node-by-node replay would.  A repeated edge is kept once
+    (``from_columns`` deduplicates each label's pairs).
+    """
+    labels: List[str] = []
+    local: Dict[str, int] = {}
+    domains: Dict[str, Any] = {}  # node label -> its domain, or None for object labels
+    node_ids: List[int] = []
+    node_labels: List[int] = []
+    prints: List[List[Any]] = []
+    seen_prints: Set[Tuple[str, Any]] = set()
+    position_of: Dict[int, int] = {}
+    for position, entry in enumerate(_require_list(data, "nodes", "instance")):
+        try:
+            node_id, label = entry["id"], entry["label"]
+            well_formed = type(node_id) is int and type(label) is str
+        except (TypeError, KeyError):
+            well_formed = False
+        if not well_formed:
+            node_id, label = _node_entry(position, entry)
+        if label not in local:
+            if scheme.is_printable_label(label):
+                domains[label] = scheme.domain_of(label)
+            elif scheme.is_object_label(label):
+                domains[label] = None
+            else:
+                raise InstanceError(f"{label!r} is not an object label of the scheme")
+            local[label] = len(labels)
+            labels.append(label)
+        if "print" in entry:
+            domain = domains[label]
+            if domain is None:
+                raise SerializationError(
+                    f"instance: nodes[{position}]: object node {node_id} carries a print value"
+                )
+            value = domain.check(entry["print"])
+            try:
+                duplicate = (label, value) in seen_prints
+            except TypeError:
+                raise SerializationError(
+                    f"instance: nodes[{position}]: print value {value!r} is not hashable"
+                ) from None
+            if duplicate:
+                raise InstanceError(f"a {label!r} node with print value {value!r} already exists")
+            seen_prints.add((label, value))
+            prints.append([len(node_ids), value])
+        if node_id in position_of:
+            raise SerializationError(
+                f"instance: nodes[{position}]: duplicate node id {node_id} "
+                f"(first at nodes[{position_of[node_id]}])"
+            )
+        position_of[node_id] = position
+        node_ids.append(node_id)
+        node_labels.append(local[label])
+    pairs: Dict[str, List[int]] = {}  # edge label -> flat [source, target, ...]
+    for position, entry in enumerate(_require_list(data, "edges", "instance")):
+        try:
+            source, label, target = entry["source"], entry["label"], entry["target"]
+            well_formed = type(source) is int and type(target) is int and type(label) is str
+        except (TypeError, KeyError):
+            well_formed = False
+        if not well_formed:
+            source, label, target = _edge_entry(position, entry)
+        if source not in position_of or target not in position_of:
+            key, endpoint = ("source", source) if source not in position_of else ("target", target)
+            raise SerializationError(f"instance: edges[{position}]: {key!r} {endpoint} names no node")
+        flat = pairs.get(label)
+        if flat is None:
+            try:
+                scheme.edge_kind(label)
+            except SchemeError as error:
+                raise InstanceError(f"instance: edges[{position}]: {error}") from None
+            flat = pairs[label] = []
+        flat += (source, target)
+    for label in pairs:
+        local[label] = len(labels)
+        labels.append(label)
+    return {
+        "labels": labels,
+        "node_ids": node_ids,
+        "node_labels": node_labels,
+        "prints": prints,
+        "edges": [[local[label], flat] for label, flat in pairs.items()],
+    }
 
 
 def instance_from_json(data: Dict[str, Any]) -> Instance:
     """Rebuild an instance, preserving node ids, and validate it.
 
     Accepts both the per-record format 1 and the columnar format 2
-    (auto-detected by the ``format`` key).
+    (auto-detected by the ``format`` key).  Either way the store is
+    built in bulk by :meth:`GraphStore.from_columns` and then checked
+    by :meth:`Instance.validate`.
     """
     data = _require_mapping(data, "instance")
-    if data.get("format") == COLUMNAR_FORMAT_VERSION:
-        return _instance_from_columnar(data)
-    if data.get("format") != FORMAT_VERSION:
+    if data.get("format") not in (FORMAT_VERSION, COLUMNAR_FORMAT_VERSION):
         raise SerializationError(f"unsupported instance format {data.get('format')!r}")
     scheme = scheme_from_json(_require_key(data, "scheme", "instance"))
-    instance = Instance(scheme)
-    for position, entry in enumerate(_require_list(data, "nodes", "instance")):
-        where = f"instance: nodes[{position}]"
-        entry = _require_mapping(entry, where)
-        label = _require_key(entry, "label", where)
-        node_id = _require_key(entry, "id", where)
-        if not isinstance(node_id, int) or isinstance(node_id, bool):
-            raise SerializationError(f"{where}: 'id' must be an integer, got {node_id!r}")
-        if not isinstance(label, str):
-            raise SerializationError(f"{where}: 'label' must be a string, got {label!r}")
-        if scheme.is_printable_label(label):
-            instance.add_printable(label, entry.get("print", NO_PRINT), _node_id=node_id)
-        else:
-            if "print" in entry:
-                raise SerializationError(f"{where}: object node {node_id} carries a print value")
-            instance.add_object(label, _node_id=node_id)
-    for position, entry in enumerate(_require_list(data, "edges", "instance")):
-        where = f"instance: edges[{position}]"
-        entry = _require_mapping(entry, where)
-        source = _require_key(entry, "source", where)
-        label = _require_key(entry, "label", where)
-        target = _require_key(entry, "target", where)
-        for key, endpoint in (("source", source), ("target", target)):
-            if not isinstance(endpoint, int) or isinstance(endpoint, bool):
-                raise SerializationError(
-                    f"{where}: {key!r} must be an integer node id, got {endpoint!r}"
-                )
-        if not isinstance(label, str):
-            raise SerializationError(f"{where}: 'label' must be a string, got {label!r}")
-        instance.add_edge(source, label, target)
+    columns = _columns_from_records(scheme, data) if data["format"] == FORMAT_VERSION else data
+    instance = Instance(scheme, _store=GraphStore.from_columns(columns))
     instance.validate()
     return instance
 

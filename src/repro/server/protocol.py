@@ -40,6 +40,7 @@ from repro.core.errors import (
     PatternError,
     ResourceLimitError,
     SchemeError,
+    SerializationError,
     TransactionError,
 )
 
@@ -71,6 +72,7 @@ ERROR_CODES: Dict[type, str] = {
     MethodError: "METHOD",
     DomainError: "DOMAIN",
     BackendError: "BACKEND",
+    SerializationError: "BAD_PAYLOAD",
     TimeoutError: "TIMEOUT",
     # on Python < 3.11 asyncio.TimeoutError is not builtins.TimeoutError
     asyncio.TimeoutError: "TIMEOUT",
@@ -87,11 +89,9 @@ def _register_library_codes() -> None:
     # library (the mappings below reach into sibling packages)
     from repro.dsl import DslError
     from repro.interactive.session import SessionError
-    from repro.io.serialize import SerializationError
 
     ERROR_CODES.setdefault(DslError, "PARSE")
     ERROR_CODES.setdefault(SessionError, "SESSION")
-    ERROR_CODES.setdefault(SerializationError, "BAD_PAYLOAD")
 
 
 _register_library_codes()

@@ -31,8 +31,9 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Union
 
+from repro.core.errors import GoodError
 from repro.core.instance import Instance
-from repro.io.serialize import write_instance, write_instance_columnar
+from repro.io.serialize import instance_from_json, write_instance, write_instance_columnar
 from repro.txn import faults
 from repro.wal.record import WalFormatError
 
@@ -123,3 +124,17 @@ def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
         if key not in doc:
             raise WalFormatError(f"{path}: checkpoint missing key {key!r}")
     return doc
+
+
+def checkpoint_instance(path: Union[str, Path], doc: Dict[str, Any]) -> Instance:
+    """The validated instance of the checkpoint document ``doc`` read
+    from ``path``.
+
+    A checkpoint whose instance document is malformed or breaks an
+    instance constraint is a corrupt file, so the error is a
+    :class:`WalFormatError` naming it rather than the loader's own.
+    """
+    try:
+        return instance_from_json(doc["instance"])
+    except GoodError as error:
+        raise WalFormatError(f"{path}: corrupt checkpoint instance: {error}") from error

@@ -39,8 +39,10 @@ import shutil
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.io.serialize import instance_from_json, instance_to_json
+from repro.io.serialize import instance_to_json
 from repro.wal.checkpoint import (
+    checkpoint_instance,
+    checkpoint_name,
     fsync_dir,
     load_checkpoint,
     parse_epoch,
@@ -558,7 +560,7 @@ class DataDirectory:
         directory = self.root / name
         meta = self._read_meta(directory)
         doc, epoch, skipped = self._latest_valid_checkpoint(directory)
-        instance = instance_from_json(doc["instance"])
+        instance = checkpoint_instance(directory / checkpoint_name(epoch), doc)
         database = catalog.add(name, instance, backend=meta["backend"])
         set_next_id(database, doc["next_id"])
         lsn = doc["last_lsn"]

@@ -24,6 +24,7 @@ poisoned writer refuses further work exactly like a dead process.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -33,8 +34,8 @@ from repro.io.serialize import scheme_to_json
 from repro.server import BackgroundServer, GoodClient, GoodServer
 from repro.server.protocol import ProtocolError
 from repro.txn import faults
-from repro.wal import DataDirLockedError, recover_catalog
-from repro.wal.checkpoint import segment_name
+from repro.wal import DataDirLockedError, WalFormatError, recover_catalog
+from repro.wal.checkpoint import checkpoint_name, segment_name
 
 pytestmark = pytest.mark.faults
 
@@ -203,6 +204,41 @@ class TestCheckpointCrashes:
         assert entry["epoch"] == 1
         # only the post-checkpoint commit needed replaying
         assert entry["records_replayed"] == 1
+
+
+class TestCorruptCheckpoint:
+    #: case -> what the recovery error must say
+    CORRUPTIONS = {"duplicate-id": "duplicate node id", "duplicate-print": "duplicate printable node"}
+
+    @staticmethod
+    def corrupt(instance, case):
+        """Break the checkpoint's columnar instance document."""
+        if case == "duplicate-id":
+            instance["node_ids"][1] = instance["node_ids"][0]
+        else:  # both String nodes print "one": value uniqueness broken
+            instance["prints"][1][1] = instance["prints"][0][1]
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_instance_document_fails_recovery_naming_the_file(self, tmp_path, case):
+        root = tmp_path / "data"
+        with Served(root) as served:
+            with served.client() as client:
+                client.create("g", backend="native", scheme=scheme_doc())
+                client.use("g")
+                add_person(client, "one")
+                add_person(client, "two")
+                assert client.checkpoint()["epoch"] == 1
+        path = root / "g" / checkpoint_name(1)
+        doc = json.loads(path.read_text())
+        self.corrupt(doc["instance"], case)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WalFormatError) as failure:
+            recover_catalog(root)
+        assert str(failure.value).startswith(f"{path}: corrupt checkpoint instance")
+        assert self.CORRUPTIONS[case] in str(failure.value)
+        # the failed recovery released the data directory
+        with pytest.raises(WalFormatError):
+            recover_catalog(root)
 
 
 class TestCheckpointCommitRaces:

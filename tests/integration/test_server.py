@@ -133,6 +133,35 @@ def test_structured_errors(served):
         assert "label" in str(info.value)
 
 
+def _people_document():
+    db = Instance(people_scheme())
+    ada, bob = db.add_object("Person"), db.add_object("Person")
+    db.add_edge(ada, "name", db.printable("String", "ada"))
+    db.add_edge(ada, "knows", bob)
+    return instance_to_json(db)
+
+
+@pytest.mark.parametrize(
+    "corrupt, located",
+    [
+        (lambda doc: doc["nodes"][1].update(id=0), r"nodes[1]: duplicate node id 0"),
+        (lambda doc: doc["edges"][0].update(target=42), r"edges[0]: 'target' 42 names no node"),
+    ],
+    ids=["duplicate-id", "dangling-endpoint"],
+)
+def test_malformed_instance_document_is_bad_payload(served, corrupt, located):
+    """A CREATE whose instance document breaks graph integrity is a
+    located BAD_PAYLOAD, not an INTERNAL error, and creates nothing."""
+    document = _people_document()
+    corrupt(document)
+    with connect(served) as client:
+        with pytest.raises(RemoteError) as info:
+            client.create("broken", instance=document)
+        assert info.value.code == "BAD_PAYLOAD"
+        assert located in str(info.value)
+        assert "broken" not in [db["name"] for db in client.hello()["databases"]]
+
+
 def test_malformed_frame_gets_protocol_error(served):
     _, host, port = served
     with socket.create_connection((host, port), timeout=10) as sock:

@@ -53,22 +53,29 @@ def test_validate_rejects_corrupt_file(tmp_path, capsys):
     path = tmp_path / "db.json"
     save_instance(db, path)
     data = json.loads(path.read_text())
-    # corrupt: point a functional edge at a second target
-    data["edges"].append(dict(data["edges"][0]))
-    data["edges"][-1]["target"] = data["edges"][-1]["target"] + 1 \
-        if any(n["id"] == data["edges"][-1]["target"] + 1 for n in data["nodes"]) else 0
-    # ensure it's genuinely different and functional ('created'/'name' etc.)
+    # corrupt: give an Info node a second 'name' (functional), aimed at
+    # another String node so the triple itself stays permitted
+    labels = {node["id"]: node["label"] for node in data["nodes"]}
+    edge = next(e for e in data["edges"] if e["label"] == "name" and labels[e["source"]] == "Info")
+    other = next(n for n, label in labels.items() if label == "String" and n != edge["target"])
+    data["edges"].append({"source": edge["source"], "label": "name", "target": other})
     path.write_text(json.dumps(data))
-    code = main(["validate", str(path)])
-    captured = capsys.readouterr()
-    if code == 0:
-        # the duplicate edge may have been a no-op duplicate; force a
-        # harder corruption: unknown format version
-        data["format"] = 99
-        path.write_text(json.dumps(data))
-        assert main(["validate", str(path)]) == 1
-    else:
-        assert "INVALID" in captured.err
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "INVALID" in err
+    assert f"functional edge 'name' leaves node {edge['source']} 2 times" in err
+
+
+def test_validate_reports_malformed_file_without_traceback(tmp_path, capsys):
+    scheme = build_scheme()
+    db, _ = build_instance(scheme)
+    path = tmp_path / "db.json"
+    save_instance(db, path)
+    data = json.loads(path.read_text())
+    data["nodes"][1]["id"] = data["nodes"][0]["id"]
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 1
+    assert "INVALID: instance: nodes[1]: duplicate node id" in capsys.readouterr().err
 
 
 def test_validate_missing_file(capsys):

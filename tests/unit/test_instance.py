@@ -169,3 +169,52 @@ def test_validate_full_rescan(tiny_instance):
     tiny_instance.store.add_node("String", "alice")
     with pytest.raises(InstanceError):
         tiny_instance.validate()
+
+
+def _corrupt_store(db, case):
+    store = db.store
+    alice, carol = min(db.nodes_with_label("Person")), max(db.nodes_with_label("Person"))
+    if case == "duplicate print":
+        store.add_node("String", "alice")
+    elif case == "mixed successor labels":
+        store.add_edge(alice, "knows", min(db.nodes_with_label("String")))
+    elif case == "functional edge twice":
+        store.add_edge(alice, "name", store.add_node("String", "alias"))
+    elif case == "object node with print":
+        store.add_node("Person", "oops")
+    elif case == "undeclared label":
+        store.add_node("Robot")
+    elif case == "edge triple not permitted":
+        store.add_edge(carol, "age", store.add_node("String", "thirty"))  # carol has no age yet
+
+
+VALIDATE_CORRUPTIONS = {
+    "duplicate print": r"duplicate printable node for \('String', 'alice'\)",
+    "mixed successor labels": r"node 0 has 'knows'-successors with mixed labels \['Person', 'String'\]",
+    "functional edge twice": "functional edge 'name' leaves node 0 2 times",
+    "object node with print": "object node 8 carries a print value",
+    "undeclared label": "node 8 has undeclared label 'Robot'",
+    "edge triple not permitted": r"edge triple \('Person', 'age', 'String'\) is not permitted",
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CORRUPTIONS))
+def test_validate_names_each_violated_constraint(tiny_instance, case):
+    """The column-wise validate reports each constraint with the
+    message the node-by-node oracle gives."""
+    from repro.testing import validate_per_node
+
+    _corrupt_store(tiny_instance, case)
+    for check in (Instance.validate, validate_per_node):
+        with pytest.raises(InstanceError, match=VALIDATE_CORRUPTIONS[case]):
+            check(tiny_instance)
+
+
+def test_validate_checks_pending_overlay_edges(tiny_scheme):
+    """Edges still in a column's pending overlay are validated too."""
+    db = Instance(tiny_scheme)
+    people = [db.add_object("Person") for _ in range(3)]
+    db.add_edge(people[0], "knows", people[1])
+    db.store.add_edge(people[0], "knows", db.printable("String", "x"))
+    with pytest.raises(InstanceError, match="mixed labels"):
+        db.validate()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core import InstanceError
 from repro.graph import isomorphic
 from repro.io import (
     instance_from_json,
@@ -15,7 +16,7 @@ from repro.io import (
     scheme_from_json,
     scheme_to_json,
 )
-from repro.io.serialize import SerializationError
+from repro.io.serialize import SerializationError, instance_to_columnar_json
 
 
 def test_scheme_round_trip(tiny_scheme):
@@ -169,6 +170,92 @@ def test_boolean_ids_rejected(tiny_instance):
     data["nodes"][0]["id"] = True
     with pytest.raises(SerializationError, match=r"nodes\[0\].*integer"):
         instance_from_json(data)
+
+
+def test_duplicate_node_id_is_located(tiny_instance):
+    data = instance_to_json(tiny_instance)
+    data["nodes"][4]["id"] = data["nodes"][1]["id"]
+    with pytest.raises(SerializationError, match=r"nodes\[4\].*duplicate node id 1"):
+        instance_from_json(data)
+
+
+@pytest.mark.parametrize("key", ["source", "target"])
+def test_edge_endpoint_naming_no_node_is_located(tiny_instance, key):
+    data = instance_to_json(tiny_instance)
+    data["edges"][2][key] = 99
+    with pytest.raises(SerializationError, match=rf"edges\[2\].*'{key}' 99 names no node"):
+        instance_from_json(data)
+
+
+def test_repeated_edge_entry_is_one_edge(tiny_instance):
+    data = instance_to_json(tiny_instance)
+    data["edges"].append(dict(data["edges"][0]))
+    back = instance_from_json(data)
+    assert back.edge_count == tiny_instance.edge_count
+    assert back.generation == back.node_count + back.edge_count
+
+
+def test_undeclared_edge_label_is_located(tiny_instance):
+    data = instance_to_json(tiny_instance)
+    data["edges"][1]["label"] = "likes"
+    with pytest.raises(InstanceError, match=r"edges\[1\].*'likes'"):
+        instance_from_json(data)
+
+
+def test_format_one_constraint_violation_is_an_instance_error(tiny_instance):
+    # a second 'name' for node 0: functional, so the bulk load's validate rejects it
+    data = instance_to_json(tiny_instance)
+    data["edges"].append({"source": 0, "label": "name", "target": 4})
+    with pytest.raises(InstanceError, match="functional edge 'name' leaves node 0 2 times"):
+        instance_from_json(data)
+
+
+def _corrupt(columns, case):
+    if case == "duplicate node id":
+        columns["node_ids"][1] = columns["node_ids"][0]
+    elif case == "source names no node":
+        columns["edges"][0][1][0] = 99
+    elif case == "target names no node":
+        columns["edges"][0][1][1] = 99
+    elif case == "non-integer endpoint":
+        columns["edges"][0][1][0] = 0.0
+    elif case == "node label index out of range":
+        columns["node_labels"][2] = len(columns["labels"])
+    elif case == "edge label index out of range":
+        columns["edges"][1][0] = -1
+    elif case == "print index out of range":
+        columns["prints"][0][0] = len(columns["node_ids"])
+    elif case == "non-integer node id":
+        columns["node_ids"][0] = "0"
+    elif case == "boolean node id":
+        columns["node_ids"][0] = False
+
+
+COLUMNAR_CORRUPTIONS = {
+    "duplicate node id": r"node_ids\[1\]: duplicate node id 0",
+    "source names no node": r"edges\[0\]\[0\]: source 99 names no node",
+    "target names no node": r"edges\[0\]\[1\]: target 99 names no node",
+    "non-integer endpoint": r"edges\[0\]\[0\]: source 0.0 names no node",
+    "node label index out of range": r"node_labels\[2\]: label index 6 out of range",
+    "edge label index out of range": r"edges\[1\]: label index -1 out of range",
+    "print index out of range": r"prints\[0\]: node index 8 out of range",
+    "non-integer node id": r"node_ids\[0\]: node id must be a 64-bit integer, got '0'",
+    "boolean node id": r"node_ids\[0\]: node id must be a 64-bit integer, got False",
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLUMNAR_CORRUPTIONS))
+def test_columnar_document_corruption_is_located(tiny_instance, case):
+    data = instance_to_columnar_json(tiny_instance)
+    _corrupt(data, case)
+    with pytest.raises(SerializationError, match=COLUMNAR_CORRUPTIONS[case]):
+        instance_from_json(data)
+
+
+def test_columnar_document_round_trip(tiny_instance):
+    back = instance_from_json(instance_to_columnar_json(tiny_instance))
+    assert list(back.edges()) == list(tiny_instance.edges())
+    assert back.generation == tiny_instance.node_count + tiny_instance.edge_count
 
 
 def test_unparseable_file_names_the_path(tmp_path):
