@@ -7,7 +7,10 @@ A real out-of-process test of the durability contract:
    is acknowledged only after its WAL record is fsynced);
 3. ``SIGKILL`` the server — no shutdown handler runs, exactly like a
    power cut from the process's point of view;
-4. start a fresh server on the same data directory and read the
+4. flip one byte in the first record of a copy of the data directory:
+   ``repro recover`` on the copy must refuse it, naming the segment,
+   rather than truncate three acknowledged commits as a "torn tail";
+5. start a fresh server on the original data directory and read the
    database back: every acknowledged commit must be there.
 
 Also used by CI as the recovery smoke step: every step asserts.
@@ -16,6 +19,7 @@ Also used by CI as the recovery smoke step: every step asserts.
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -26,6 +30,7 @@ from repro.core import Scheme
 from repro.io.serialize import scheme_to_json
 from repro.server import GoodClient
 from repro.server.protocol import ProtocolError
+from repro.wal.checkpoint import segment_name
 
 PORT = 25990  # out of the way of a real `repro serve`
 
@@ -68,6 +73,28 @@ def start_server(data_dir: str) -> subprocess.Popen:
     raise RuntimeError("server did not come up within 30s")
 
 
+def check_corrupt_copy_is_refused(data_dir: str, copy_dir: str) -> None:
+    """Damage the first record of a multi-record segment in a copy of
+    ``data_dir``; offline recovery of the copy must fail naming it."""
+    shutil.copytree(data_dir, copy_dir)
+    segment = os.path.join(copy_dir, "people", segment_name(0))
+    with open(segment, "rb") as fp:
+        data = bytearray(fp.read())
+    assert data.count(b"\n") >= 2, "the segment should hold several records"
+    data[12] ^= 0x01  # inside the first record's JSON
+    with open(segment, "wb") as fp:
+        fp.write(bytes(data))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "recover", copy_dir],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode != 0, result
+    assert segment in result.stderr, result.stderr
+    print(f"corrupt copy refused: {result.stderr.strip()}")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="good-recovery-") as data_dir:
         # -- first life: create, commit, get acks -------------------------
@@ -87,6 +114,9 @@ def main() -> None:
             server.send_signal(signal.SIGKILL)
             server.wait(timeout=10)
         print("server SIGKILLed")
+
+        with tempfile.TemporaryDirectory(prefix="good-corrupt-") as scratch:
+            check_corrupt_copy_is_refused(data_dir, os.path.join(scratch, "copy"))
 
         # -- second life: recover and read back ---------------------------
         server = start_server(data_dir)

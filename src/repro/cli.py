@@ -344,10 +344,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         try:
             catalog, report = recover_catalog(
-                args.data_dir,
-                fsync_policy=args.fsync,
-                checkpoint_bytes=args.checkpoint_bytes,
-                wal_format=args.wal_format,
+                args.data_dir, fsync_policy=args.fsync, checkpoint_bytes=args.checkpoint_bytes
             )
         except (GoodError, OSError) as error:
             print(f"ERROR: {error}", file=sys.stderr)
@@ -868,14 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4 * 1024 * 1024,
         help="auto-checkpoint a database once its WAL segment exceeds "
         "this many bytes (0 disables; default 4MiB)",
-    )
-    serve.add_argument(
-        "--wal-format",
-        default="text",
-        choices=("text", "binary"),
-        help="WAL segment format for fresh segments: text (NDJSON, "
-        "default, human-readable) or binary (length-prefixed + CRC32, "
-        "compact); recovery reads both transparently",
     )
     serve.add_argument(
         "--workers",

@@ -19,6 +19,8 @@ Failure modes, and how the tailer reads them off the filesystem:
 * segment has a torn tail → writer is mid-append: stop at the valid
   prefix, keep the offset, retry next poll (never truncate — the
   writer owns that file);
+* a damaged record with an intact one after it → corruption, not a
+  tail: the scan raises, the poll counts an error and keeps its offset;
 * segment *shrank* below our offset → the worker crashed and recovery
   truncated a torn tail we had not yet crossed: full resync;
 * segment vanished → a checkpoint pruned past us: full resync from the

@@ -3,19 +3,21 @@
 A checkpoint file ``checkpoint-<epoch>.json`` holds the full instance
 (plus the scheme, the id counter and the last LSN) as it stood the
 moment WAL segment ``wal-<epoch>.ndjson`` was started.  Recovery loads
-the newest *valid* checkpoint and replays only that epoch's segment —
-so checkpointing is what keeps recovery time proportional to the WAL
-written since, not to the database's lifetime.
+the newest *valid* checkpoint and replays only the segments from that
+epoch on — so checkpointing is what keeps recovery time proportional
+to the WAL written since, not to the database's lifetime.
 
 The write protocol is the classic atomic-publish dance:
 
-1. write ``checkpoint-<epoch>.json.tmp`` (instance streamed via
-   :func:`repro.io.serialize.write_instance_columnar` for columnar
-   stores — the intern table once, then flat int columns — or the
-   per-record :func:`repro.io.serialize.write_instance` otherwise; no
-   second in-memory copy either way) and ``fsync`` it;
+1. write ``checkpoint-<epoch>.json.tmp`` (the instance streamed in
+   columnar format 2 by :func:`repro.io.serialize.write_instance_columnar`
+   — the label table once, then flat int columns — with no second
+   in-memory copy) and ``fsync`` it;
 2. ``os.replace`` onto the final name (atomic on POSIX);
 3. ``fsync`` the directory so the rename itself is durable.
+
+:func:`~repro.io.serialize.instance_from_json` still reads the
+per-record format 1, so checkpoints written by earlier releases load.
 
 A crash at any point leaves either the old checkpoint or the new one
 fully intact — never a half-written file under the real name.  Crash
@@ -33,7 +35,7 @@ from typing import Any, Dict, Union
 
 from repro.core.errors import GoodError
 from repro.core.instance import Instance
-from repro.io.serialize import instance_from_json, write_instance, write_instance_columnar
+from repro.io.serialize import instance_from_json, write_instance_columnar
 from repro.txn import faults
 from repro.wal.record import WalFormatError
 
@@ -91,14 +93,10 @@ def write_checkpoint(
     }
     with open(tmp, "w") as fp:
         # compose {header..., "instance": <streamed>} without building
-        # the instance document in memory; columnar stores stream the
-        # compact format 2 (intern table once, then columns in bulk)
+        # the instance document in memory
         fp.write(json.dumps(header, sort_keys=True)[:-1])
         fp.write(', "instance": ')
-        if hasattr(instance.store, "snapshot_columns"):
-            write_instance_columnar(instance, fp)
-        else:
-            write_instance(instance, fp)
+        write_instance_columnar(instance, fp)
         fp.write("}")
         fp.flush()
         os.fsync(fp.fileno())

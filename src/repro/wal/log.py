@@ -25,7 +25,8 @@ dead process, so memory and disk cannot silently diverge.
 
 :class:`WalReader` scans segments tolerantly: a torn tail (partial
 write of the final record) is detected by CRC and reported with the
-valid byte length so recovery can drop it.
+valid byte length so recovery can drop it.  A damaged record with an
+intact one after it is corruption, not a tail, and raises instead.
 """
 
 from __future__ import annotations
@@ -36,39 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.txn import faults
-from repro.wal.record import (
-    BINARY_MAGIC,
-    WalError,
-    encode_record,
-    encode_record_binary,
-    scan_binary_records,
-    scan_records,
-    scan_text_records,
-)
-
-#: WAL segment payload formats (``--wal-format``).
-TEXT_FORMAT = "text"
-BINARY_FORMAT = "binary"
-
-
-def parse_wal_format(text: str) -> str:
-    """Validate a ``--wal-format`` value (``text`` or ``binary``)."""
-    value = str(text).strip().lower()
-    if value not in (TEXT_FORMAT, BINARY_FORMAT):
-        raise WalError(f"unknown WAL format {text!r} (expected text or binary)")
-    return value
-
-
-def sniff_segment_format(path: Union[str, Path]) -> Optional[str]:
-    """The format of an existing segment, or ``None`` if empty/absent."""
-    try:
-        with open(path, "rb") as fp:
-            head = fp.read(len(BINARY_MAGIC))
-    except OSError:
-        return None
-    if not head:
-        return None
-    return BINARY_FORMAT if head == BINARY_MAGIC else TEXT_FORMAT
+from repro.wal.record import WalError, encode_record, scan_records
 
 
 class FsyncPolicy:
@@ -154,18 +123,9 @@ class CommitTicket:
 class WalWriter:
     """Append-only writer for one WAL segment file."""
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        policy: Union[str, FsyncPolicy] = "always",
-        wal_format: str = TEXT_FORMAT,
-    ) -> None:
+    def __init__(self, path: Union[str, Path], policy: Union[str, FsyncPolicy] = "always") -> None:
         self.path = Path(path)
         self.policy = parse_fsync_policy(policy)
-        #: configured format for *fresh* segments; a non-empty existing
-        #: segment keeps the format it was started with (sniffed below)
-        self.wal_format = parse_wal_format(wal_format)
-        existing = sniff_segment_format(self.path)
         # unbuffered: the written offset *is* the file offset, which the
         # torn-tail simulation and group-commit bookkeeping rely on
         self._file = open(self.path, "ab", buffering=0)
@@ -175,10 +135,6 @@ class WalWriter:
         # blocking appends; always acquired *before* ``_lock``
         self._flush_lock = threading.RLock()
         self._written = self._file.tell()
-        self._segment_format = existing if existing is not None else self.wal_format
-        if self._written == 0 and self._segment_format == BINARY_FORMAT:
-            self._file.write(BINARY_MAGIC)
-            self._written = self._file.tell()
         self._synced = self._written
         self._pending: List[CommitTicket] = []
         self._poison: Optional[BaseException] = None
@@ -195,10 +151,7 @@ class WalWriter:
     # ------------------------------------------------------------------
     def append(self, doc: Dict[str, Any]) -> CommitTicket:
         """Frame and write one record; returns its durability ticket."""
-        if self._segment_format == BINARY_FORMAT:
-            data = encode_record_binary(doc)
-        else:
-            data = encode_record(doc)
+        data = encode_record(doc)
         with self._lock:
             self._require_usable()
             try:
@@ -394,13 +347,8 @@ class WalWriter:
                 self._require_usable()
                 self._file.close()
                 self.path = Path(new_path)
-                existing = sniff_segment_format(self.path)
                 self._file = open(self.path, "ab", buffering=0)
                 self._written = self._file.tell()
-                self._segment_format = existing if existing is not None else self.wal_format
-                if self._written == 0 and self._segment_format == BINARY_FORMAT:
-                    self._file.write(BINARY_MAGIC)
-                    self._written = self._file.tell()
                 self._synced = self._written
 
     def poison(self, error: BaseException) -> None:
@@ -432,13 +380,16 @@ class WalWriter:
 
 
 class WalReader:
-    """Torn-tail tolerant segment scanning."""
+    """Torn-tail tolerant, corruption-refusing segment scanning."""
 
     @staticmethod
     def scan(path: Union[str, Path]) -> Tuple[List[Dict[str, Any]], int, int]:
-        """Decode a segment: ``(records, valid_byte_length, torn)``."""
-        data = Path(path).read_bytes()
-        return scan_records(data)
+        """Decode a segment: ``(records, valid_byte_length, torn)``.
+
+        Raises :class:`~repro.wal.record.WalFormatError` for a corrupt
+        or binary-format segment (see :func:`scan_records`).
+        """
+        return scan_records(Path(path).read_bytes(), str(path))
 
     @staticmethod
     def tail(path: Union[str, Path], offset: int) -> Tuple[List[Dict[str, Any]], int]:
@@ -451,25 +402,18 @@ class WalReader:
         new_offset)``.  A file shorter than ``offset`` (the writer
         crashed, recovery truncated a torn tail) surfaces as
         ``new_offset < offset`` with no records, which tells the tailer
-        to resynchronise from the newest checkpoint.
+        to resynchronise from the newest checkpoint.  A corrupt record
+        with an intact one after it raises
+        :class:`~repro.wal.record.WalFormatError` instead of stalling at
+        the bad offset.
         """
-        path = Path(path)
         with open(path, "rb") as fp:
             size = os.fstat(fp.fileno()).st_size
             if size < offset:
                 return [], size
-            head = fp.read(len(BINARY_MAGIC))
-            binary = head == BINARY_MAGIC
-            if binary and offset < len(BINARY_MAGIC):
-                # a fresh tailer starts at 0; binary records begin
-                # after the segment magic
-                offset = len(BINARY_MAGIC)
             fp.seek(offset)
             data = fp.read()
-        if binary:
-            records, valid_length, _torn = scan_binary_records(data)
-        else:
-            records, valid_length, _torn = scan_text_records(data)
+        records, valid_length, _torn = scan_records(data, str(path), offset)
         return records, offset + valid_length
 
     @staticmethod
@@ -477,7 +421,8 @@ class WalReader:
         """Decode a segment, truncating any torn tail in place.
 
         Returns ``(records, torn)`` where ``torn`` counts dropped tail
-        records (0 or 1).  After this the segment re-scans cleanly.
+        records (0 or 1).  After this the segment re-scans cleanly.  A
+        corrupt segment raises before anything is truncated.
         """
         path = Path(path)
         records, valid_length, torn = WalReader.scan(path)

@@ -26,7 +26,9 @@ Invariants:
 
 :func:`recover_catalog` is the boot path: lock the directory, then for
 every database load the newest valid checkpoint, replay the epoch's
-WAL (truncating a torn tail), and hand back a serving
+WAL (truncating a torn tail; a corrupt segment stops recovery with a
+:class:`~repro.wal.record.WalFormatError` and is left untouched), and
+hand back a serving
 :class:`~repro.server.catalog.Catalog` plus a :class:`RecoveryReport`.
 """
 
@@ -39,7 +41,7 @@ import shutil
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.io.serialize import instance_to_json
+from repro.io.serialize import instance_to_columnar_json
 from repro.wal.checkpoint import (
     checkpoint_instance,
     checkpoint_name,
@@ -49,13 +51,7 @@ from repro.wal.checkpoint import (
     segment_name,
     write_checkpoint,
 )
-from repro.wal.log import (
-    CommitTicket,
-    WalReader,
-    WalWriter,
-    parse_fsync_policy,
-    parse_wal_format,
-)
+from repro.wal.log import CommitTicket, WalReader, WalWriter, parse_fsync_policy
 from repro.wal.record import WalError, WalFormatError
 
 try:  # POSIX: advisory whole-file lock, auto-released on process death
@@ -89,20 +85,16 @@ class DatabaseDurability:
         epoch: int = 0,
         lsn: int = 0,
         checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
-        wal_format: str = "text",
     ) -> None:
         self.directory = Path(directory)
         self.name = name
         self.backend = backend
         self.policy = parse_fsync_policy(policy)
-        self.wal_format = wal_format
         self.epoch = epoch
         self.lsn = lsn
         self.checkpoint_bytes = checkpoint_bytes
         self.checkpoints_taken = 0
-        self.writer = WalWriter(
-            self.directory / segment_name(epoch), self.policy, wal_format=wal_format
-        )
+        self.writer = WalWriter(self.directory / segment_name(epoch), self.policy)
         self._drained = {"appends": 0, "fsyncs": 0, "bytes": 0, "checkpoints": 0}
         # one checkpoint may stream at a time; set at begin_checkpoint
         # (under the write lock), cleared when the job finishes
@@ -129,15 +121,9 @@ class DatabaseDurability:
     def reset_record(self, database: Any) -> CommitTicket:
         """Append a full-state record (``UNDO`` rebinds the instance,
         which no incremental redo can describe)."""
-        from repro.io.serialize import instance_to_columnar_json
         from repro.wal.redo import get_next_id
 
-        instance = database.to_instance()
-        if hasattr(instance.store, "snapshot_columns"):
-            # columnar document: the label table once, then int columns
-            doc = instance_to_columnar_json(instance)
-        else:
-            doc = instance_to_json(instance)
+        doc = instance_to_columnar_json(database.to_instance())
         self.lsn += 1
         return self.writer.append(
             {
@@ -376,11 +362,9 @@ class DataDirectory:
         root: Union[str, Path],
         fsync_policy: Any = "always",
         checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
-        wal_format: str = "text",
     ) -> None:
         self.root = Path(root)
         self.policy = parse_fsync_policy(fsync_policy)
-        self.wal_format = parse_wal_format(wal_format)
         self.checkpoint_bytes = checkpoint_bytes
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock_file = None
@@ -514,7 +498,6 @@ class DataDirectory:
             epoch=0,
             lsn=0,
             checkpoint_bytes=self.checkpoint_bytes,
-            wal_format=self.wal_format,
         )
 
     def drop_database(self, database: Any) -> None:
@@ -617,7 +600,6 @@ class DataDirectory:
             epoch=segment_epochs[-1],
             lsn=lsn,
             checkpoint_bytes=self.checkpoint_bytes,
-            wal_format=self.wal_format,
         )
         return {
             "name": name,
@@ -704,18 +686,12 @@ def recover_catalog(
     fsync_policy: Any = "always",
     checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
     validate: bool = False,
-    wal_format: str = "text",
 ) -> Tuple[Any, RecoveryReport]:
     """Boot path: lock ``root``, recover every database, return the
     serving catalog (durability attached) and the recovery report."""
     from repro.server.catalog import Catalog
 
-    directory = DataDirectory(
-        root,
-        fsync_policy=fsync_policy,
-        checkpoint_bytes=checkpoint_bytes,
-        wal_format=wal_format,
-    )
+    directory = DataDirectory(root, fsync_policy=fsync_policy, checkpoint_bytes=checkpoint_bytes)
     try:
         catalog = Catalog()
         report = directory.recover_into(catalog, validate=validate)

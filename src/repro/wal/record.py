@@ -1,7 +1,6 @@
-"""WAL record framing: CRC-guarded records, text or binary.
+"""WAL record framing: CRC-guarded NDJSON records.
 
-The default segment format is newline-delimited JSON (NDJSON) with a
-checksum prefix::
+A segment is newline-delimited JSON (NDJSON) with a checksum prefix::
 
     <crc32 as 8 hex digits> <compact JSON document>\\n
 
@@ -13,33 +12,30 @@ Everything before that offset is trustworthy — each record was fully
 written and checksummed — which is exactly the contract recovery needs
 to truncate the tail and continue.
 
-The compact *binary* format (``--wal-format binary``) keeps the same
-record-precise torn-tail contract but frames each record as::
+A bad record is a *torn tail* only if no intact record follows it: a
+crash can only tear the last write.  A bad record with an intact one
+behind it is corruption of fsynced data, and :func:`scan_records`
+raises :class:`WalFormatError` naming the segment and the byte offset
+instead of reporting a tail that recovery would truncate.
 
-    <u32 payload length LE> <u32 crc32 LE> <payload>
-
-inside a segment that opens with the :data:`BINARY_MAGIC` header.  The
-payload is a tag-based binary value encoding (ints are zigzag varints,
-strings length-prefixed UTF-8), which suits the columnar redo records —
-mostly small ints — far better than decimal JSON.  :func:`scan_records`
-auto-detects the segment format from the magic, so ``repro recover``
-and the read replicas consume either format transparently.
+Earlier releases could also write a binary segment format, recognised
+by its :data:`BINARY_MAGIC` header.  It is no longer read; scanning
+such a segment raises :class:`WalFormatError` with the migration steps
+rather than mistaking the header for a torn first record.
 
 Engine payloads are not plain JSON: minirel rows hold ``("v", value)``
 *tuples* (hashed by the table indexes, so a list round trip would
 corrupt them) and Tarski relations are sets of pairs.  :func:`jsonify`
 / :func:`dejsonify` make the round trip faithful by encoding tuples as
 ``{"$t": [...]}`` marker objects (and escaping any real mapping that
-happens to carry a ``$t`` key); the binary encoding preserves tuples
-natively via its own tag.
+happens to carry a ``$t`` key).
 """
 
 from __future__ import annotations
 
 import json
-import struct
 import zlib
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import GoodError
 
@@ -55,11 +51,9 @@ class WalFormatError(WalError):
 _CRC_WIDTH = 8  # zlib.crc32 as zero-padded lowercase hex
 _SEPARATOR = b" "
 
-#: Header of a binary WAL segment.  A text segment's first byte is a
-#: hex digit, so the two formats are unambiguous from the first byte.
+#: Header of a segment in the retired binary format.  A text segment's
+#: first byte is a hex digit, so the header is unambiguous.
 BINARY_MAGIC = b"GWB1\x00\n"
-
-_FRAME = struct.Struct("<II")  # payload length, crc32
 
 
 # ----------------------------------------------------------------------
@@ -114,8 +108,8 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     """Decode one complete line (without requiring the newline).
 
     Raises :class:`WalFormatError` on any framing, checksum, or JSON
-    problem — the caller decides whether that means "torn tail" (end of
-    scan) or "corrupt log" (scan had valid records after it).
+    problem; :func:`scan_records` decides whether that is a torn tail
+    or a corrupt segment.
     """
     line = line.rstrip(b"\n")
     if len(line) < _CRC_WIDTH + 1 or line[_CRC_WIDTH : _CRC_WIDTH + 1] != _SEPARATOR:
@@ -139,198 +133,57 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     return doc
 
 
-def scan_records(data: bytes) -> Tuple[List[Dict[str, Any]], int, int]:
-    """Scan a full segment's bytes; stop at the first torn/bad record.
+def scan_records(
+    data: bytes, segment: str = "WAL segment", start: int = 0
+) -> Tuple[List[Dict[str, Any]], int, int]:
+    """Scan segment bytes; stop at a torn tail, refuse corruption.
 
-    Auto-detects the segment format (binary segments open with
-    :data:`BINARY_MAGIC`).  Returns ``(records, valid_length, torn)``:
-    the decoded records, the byte offset up to which the segment is
-    intact, and how many trailing damaged/incomplete records were
-    dropped (0 or 1 — the scan stops at the first bad record, so at
-    most one *tail* is reported; anything beyond it is unreachable
-    garbage by definition).
+    ``data`` is the segment from byte ``start`` on (a tailer reads from
+    an offset) and ``segment`` names it in errors.  Returns ``(records,
+    valid_length, torn)``: the decoded records, the length of the
+    intact prefix of ``data``, and 1 if a torn tail follows that prefix
+    (else 0).
+
+    Raises :class:`WalFormatError` for a binary-format segment, and for
+    a bad record that an intact record follows: that is corruption, not
+    a torn tail, so the caller must not truncate at it.
     """
-    if data.startswith(BINARY_MAGIC):
-        records, valid, torn = scan_binary_records(data[len(BINARY_MAGIC) :])
-        return records, len(BINARY_MAGIC) + valid, torn
-    return scan_text_records(data)
-
-
-def scan_text_records(data: bytes) -> Tuple[List[Dict[str, Any]], int, int]:
-    """Scan NDJSON record bytes (no segment header)."""
+    if start == 0 and data.startswith(BINARY_MAGIC):
+        raise WalFormatError(
+            f"{segment}: binary WAL segment, which this release cannot read; to "
+            "migrate, run the previous release with --wal-format text, CHECKPOINT "
+            "each database, then upgrade"
+        )
     records: List[Dict[str, Any]] = []
     offset = 0
-    torn = 0
     while offset < len(data):
         newline = data.find(b"\n", offset)
         if newline == -1:  # incomplete final line: torn mid-write
-            torn = 1
-            break
-        line = data[offset : newline + 1]
+            return records, offset, 1
         try:
-            records.append(decode_line(line))
-        except WalFormatError:
-            torn = 1
-            break
+            records.append(decode_line(data[offset : newline + 1]))
+        except WalFormatError as error:
+            intact = _next_intact_record(data, newline + 1)
+            if intact is not None:
+                raise WalFormatError(
+                    f"{segment}: corrupt record at byte {start + offset}: {error}; "
+                    f"an intact record follows at byte {start + intact}, so this is "
+                    "not a torn tail and nothing was truncated"
+                ) from None
+            return records, offset, 1
         offset = newline + 1
-    return records, offset, torn
+    return records, offset, 0
 
 
-# ----------------------------------------------------------------------
-# binary framing
-# ----------------------------------------------------------------------
-#
-# value tags: N null · T true · F false · i zigzag-varint int ·
-# d float64 · s utf-8 string · l list · t tuple · m dict (string keys,
-# sorted) — counts and lengths are unsigned varints
-
-
-def _write_uvarint(out: bytearray, value: int) -> None:
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _read_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
+def _next_intact_record(data: bytes, offset: int) -> Optional[int]:
+    """Offset of the first complete, decodable line at or past ``offset``."""
     while True:
-        if offset >= len(data):
-            raise WalFormatError("truncated varint in binary record")
-        byte = data[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-        if shift > 70:
-            raise WalFormatError("varint too long in binary record")
-
-
-def _encode_value(value: Any, out: bytearray) -> None:
-    if value is None:
-        out.append(0x4E)  # N
-    elif value is True:
-        out.append(0x54)  # T
-    elif value is False:
-        out.append(0x46)  # F
-    elif isinstance(value, int):
-        out.append(0x69)  # i
-        zigzag = (value << 1) ^ (value >> 63) if -(1 << 62) <= value < (1 << 62) else None
-        if zigzag is None:  # arbitrary precision: fall back via string
-            raise WalFormatError(f"integer {value} out of binary WAL range")
-        _write_uvarint(out, zigzag)
-    elif isinstance(value, float):
-        out.append(0x64)  # d
-        out += struct.pack("<d", value)
-    elif isinstance(value, str):
-        encoded = value.encode("utf-8")
-        out.append(0x73)  # s
-        _write_uvarint(out, len(encoded))
-        out += encoded
-    elif isinstance(value, (list, tuple)):
-        out.append(0x6C if isinstance(value, list) else 0x74)  # l / t
-        _write_uvarint(out, len(value))
-        for item in value:
-            _encode_value(item, out)
-    elif isinstance(value, dict):
-        out.append(0x6D)  # m
-        _write_uvarint(out, len(value))
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise WalFormatError(f"binary WAL dict keys must be strings, got {key!r}")
-            encoded = key.encode("utf-8")
-            _write_uvarint(out, len(encoded))
-            out += encoded
-            _encode_value(value[key], out)
-    else:
-        raise WalFormatError(
-            f"value of type {type(value).__name__} is not binary-WAL-encodable"
-        )
-
-
-def _decode_value(data: bytes, offset: int) -> Tuple[Any, int]:
-    if offset >= len(data):
-        raise WalFormatError("truncated binary record")
-    tag = data[offset]
-    offset += 1
-    if tag == 0x4E:
-        return None, offset
-    if tag == 0x54:
-        return True, offset
-    if tag == 0x46:
-        return False, offset
-    if tag == 0x69:
-        zigzag, offset = _read_uvarint(data, offset)
-        return (zigzag >> 1) ^ -(zigzag & 1), offset
-    if tag == 0x64:
-        if offset + 8 > len(data):
-            raise WalFormatError("truncated float in binary record")
-        return struct.unpack_from("<d", data, offset)[0], offset + 8
-    if tag == 0x73:
-        length, offset = _read_uvarint(data, offset)
-        if offset + length > len(data):
-            raise WalFormatError("truncated string in binary record")
+        newline = data.find(b"\n", offset)
+        if newline == -1:
+            return None
         try:
-            return data[offset : offset + length].decode("utf-8"), offset + length
-        except UnicodeDecodeError as error:
-            raise WalFormatError(f"binary record string is not UTF-8: {error}") from None
-    if tag in (0x6C, 0x74):
-        count, offset = _read_uvarint(data, offset)
-        items = []
-        for _ in range(count):
-            item, offset = _decode_value(data, offset)
-            items.append(item)
-        return (items if tag == 0x6C else tuple(items)), offset
-    if tag == 0x6D:
-        count, offset = _read_uvarint(data, offset)
-        mapping: Dict[str, Any] = {}
-        for _ in range(count):
-            length, offset = _read_uvarint(data, offset)
-            if offset + length > len(data):
-                raise WalFormatError("truncated dict key in binary record")
-            key = data[offset : offset + length].decode("utf-8")
-            offset += length
-            mapping[key], offset = _decode_value(data, offset)
-        return mapping, offset
-    raise WalFormatError(f"unknown binary value tag 0x{tag:02x}")
-
-
-def encode_record_binary(doc: Dict[str, Any]) -> bytes:
-    """Frame one document as a length-prefixed CRC-guarded binary record."""
-    payload = bytearray()
-    _encode_value(doc, payload)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return _FRAME.pack(len(payload), crc) + bytes(payload)
-
-
-def scan_binary_records(data: bytes) -> Tuple[List[Dict[str, Any]], int, int]:
-    """Scan binary record bytes (segment magic already stripped)."""
-    records: List[Dict[str, Any]] = []
-    offset = 0
-    torn = 0
-    size = len(data)
-    while offset < size:
-        if size - offset < _FRAME.size:
-            torn = 1
-            break
-        length, expected = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        if size - start < length:
-            torn = 1
-            break
-        payload = data[start : start + length]
-        if zlib.crc32(payload) & 0xFFFFFFFF != expected:
-            torn = 1
-            break
-        try:
-            doc, consumed = _decode_value(payload, 0)
-            if consumed != length or not isinstance(doc, dict):
-                raise WalFormatError("binary record payload malformed")
+            decode_line(data[offset : newline + 1])
         except WalFormatError:
-            torn = 1
-            break
-        records.append(doc)
-        offset = start + length
-    return records, offset, torn
+            offset = newline + 1
+        else:
+            return offset

@@ -241,6 +241,31 @@ class TestCorruptCheckpoint:
             recover_catalog(root)
 
 
+class TestCorruptSegment:
+    def test_mid_segment_corruption_fails_recovery_untouched(self, tmp_path):
+        """A damaged record with acknowledged commits after it is not a
+        torn tail: recovery refuses it, naming the segment, and leaves
+        every byte in place for an operator to salvage."""
+        root = tmp_path / "data"
+        with Served(root) as served:
+            with served.client() as client:
+                client.create("g", backend="native", scheme=scheme_doc())
+                client.use("g")
+                for name in ("one", "two", "three"):
+                    add_person(client, name)
+        segment = root / "g" / segment_name(0)
+        data = bytearray(segment.read_bytes())
+        data[data.index(b"\n") + 12] ^= 0x01  # inside the second record
+        segment.write_bytes(bytes(data))
+        with pytest.raises(WalFormatError) as failure:
+            recover_catalog(root)
+        assert str(failure.value).startswith(f"{segment}: corrupt record at byte")
+        assert segment.read_bytes() == bytes(data)
+        # the failed recovery released the data directory
+        with pytest.raises(WalFormatError):
+            recover_catalog(root)
+
+
 class TestCheckpointCommitRaces:
     """Checkpoints stream from a pinned snapshot *after* rotating the
     WAL, so commits race the streaming half.  A crash mid-stream must

@@ -291,6 +291,13 @@ def test_removed_no_mvcc_flag_is_rejected(capsys):
     assert "--no-mvcc" in capsys.readouterr().err
 
 
+def test_removed_wal_format_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as serve_exit:
+        main(["serve", "--wal-format", "binary"])
+    assert serve_exit.value.code == 2
+    assert "--wal-format" in capsys.readouterr().err
+
+
 def test_serve_rejects_bad_db_spec(capsys):
     assert main(["serve", "--db", "no-equals-sign"]) == 1
     assert "NAME=FILE" in capsys.readouterr().err
