@@ -7,8 +7,8 @@ recorded numbers, so a perf regression that slips past the in-test
 assertions (e.g. a bench file archived from a stale run) still fails
 CI loudly.  Three sources of floors, in order:
 
-* an explicit ``floor`` key inside a workload entry (``BENCH_wcoj``
-  writes these) is checked against that entry's ``speedup``;
+* an explicit ``floor`` key inside a workload entry (``BENCH_cluster``
+  writes one) is checked against that entry's ``speedup``;
 * a ``floors`` dict inside an entry maps *metric name* → minimum and
   is checked against the entry's own metrics (``BENCH_cluster`` writes
   these: scale-out floors);

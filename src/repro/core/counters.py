@@ -19,9 +19,10 @@ collector tallies, for everything executed while it is armed,
 * ``index_builds`` — sorted-adjacency (CSR) indexes built lazily by
   :meth:`repro.graph.store.GraphStore.sorted_adjacency`;
 * ``leapfrog_seeks`` — galloping seeks performed by the multiway
-  sorted-intersection operator (:mod:`repro.plan.leapfrog`);
-* ``intersections`` — k-way sorted intersections the executor ran
-  (multiway steps and array-backed ``Extend`` steps);
+  sorted-intersection operator (:mod:`repro.plan.leapfrog`); only the
+  reference step interpreter runs it, so served ``STATS`` report 0;
+* ``intersections`` — k-way intersections the executor ran (one per
+  ``MultiwayIntersect`` binding);
 * ``txn_journal_entries`` — inverse operations recorded by undo
   journals (:mod:`repro.txn.journal`) in completed transactions;
 * ``txn_snapshot_captures`` — full-state snapshots taken

@@ -98,8 +98,8 @@ def find_matchings_delta(
     store probe); each pattern edge plans **once** through the plan
     cache and gets a :func:`repro.plan.executor.seeded_runner` — a
     compiled nested-loop generator instantiated once, invoked per seed
-    — instead of re-hashing the pattern signature and rebuilding an
-    interpreter frame stack for every delta edge.  Seed-binding
+    — instead of re-hashing the pattern signature and re-binding the
+    runner for every delta edge.  Seed-binding
     validation is memoized per (pattern node, instance node), since
     delta edges share endpoints heavily.
 

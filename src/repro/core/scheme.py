@@ -60,6 +60,8 @@ class Scheme:
         # change listeners (repro.txn.journal scheme recorders); never
         # copied with the scheme — each object records independently
         self._listeners: list = []
+        # far_labels memo; emptied whenever P changes
+        self._far: Dict[Tuple[str, str, Optional[str]], FrozenSet[str]] = {}
 
         for label in object_labels:
             self.add_object_label(label)
@@ -130,6 +132,7 @@ class Scheme:
             raise SchemeError(f"property target {target!r} is not a declared node label")
         self._changed()
         self._properties.add((source, edge, target))
+        self._far = {}
         return self
 
     def declare(self, source: str, edge: str, target: str, functional: bool = True) -> "Scheme":
@@ -250,7 +253,29 @@ class Scheme:
 
     def targets_of(self, source_label: str, edge_label: str) -> FrozenSet[str]:
         """Target labels permitted for (source_label, edge_label)."""
-        return frozenset(t for (s, e, t) in self._properties if s == source_label and e == edge_label)
+        return self.far_labels(edge_label, "out", source_label)
+
+    def far_labels(self, edge_label: str, direction: str, near_label: Optional[str] = None) -> FrozenSet[str]:
+        """The node labels P admits at the far end of an ``edge_label`` edge.
+
+        ``direction == "out"`` reads the edge from its source, so the
+        answer is the labels its target may carry; ``"in"`` reads it
+        from its target, so the answer is the labels its source may
+        carry.  ``near_label`` fixes the label of the near end
+        (``None``: any).  Memoized until P changes: the plan executor
+        asks on every execution which candidate label checks the scheme
+        makes redundant.
+        """
+        key = (edge_label, direction, near_label)
+        found = self._far.get(key)
+        if found is None:
+            near, far = (0, 2) if direction == "out" else (2, 0)
+            found = self._far[key] = frozenset(
+                triple[far]
+                for triple in self._properties
+                if triple[1] == edge_label and (near_label is None or triple[near] == near_label)
+            )
+        return found
 
     def edges_from(self, source_label: str) -> Iterator[PropertyTriple]:
         """Iterate property triples whose source is ``source_label``."""
@@ -324,6 +349,7 @@ class Scheme:
         self._domains = dict(other._domains)
         self._isa_labels = set(other._isa_labels)
         self._allow_reserved = other._allow_reserved
+        self._far = {}
         return self
 
     def validate(self) -> None:

@@ -167,7 +167,10 @@ class IdSlotMap:
     Ids handed out by the store counter are dense, so the common case
     is a direct ``array('q')`` indexed by id (-1 = absent).  Explicit
     sparse or negative ids (``add_node(node_id=...)``) fall back to an
-    overflow dict rather than ballooning the array.
+    overflow dict rather than ballooning the array.  An id inside the
+    array's range lives only in the array: when the array grows over
+    ids parked in the overflow, they move into it, so ``get`` stays one
+    subscript on the dense path and never has to consult both.
     """
 
     __slots__ = ("_direct", "_overflow")
@@ -188,8 +191,13 @@ class IdSlotMap:
             direct[node_id] = slot
             return
         if 0 <= node_id <= len(direct) + max(1024, len(direct)):
-            direct.extend([-1] * (node_id + 1 - len(direct)))
+            start = len(direct)
+            direct.extend([-1] * (node_id + 1 - start))
             direct[node_id] = slot
+            overflow = self._overflow
+            if overflow:
+                for parked in [key for key in overflow if start <= key < len(direct)]:
+                    direct[parked] = overflow.pop(parked)
             return
         self._overflow[node_id] = slot
 

@@ -9,9 +9,10 @@ records:
 * node labels live in a process-global string-intern table
   (:data:`repro.graph.columns.LABELS`); label ids are small ints;
 * nodes occupy dense *slots*: parallel columns ``slot -> label id``
-  (``array('q')``), ``slot -> print value`` (a list) and ``slot ->
-  external id``, with a free-list recycling slots after removals and
-  an id→slot map keeping the external integer node-id API unchanged;
+  and ``slot -> external id`` (``array('q')``) beside a ``slot -> print
+  value`` dict holding only the slots whose node carries a print, with
+  a free-list recycling slots after removals and an id→slot map keeping
+  the external integer node-id API unchanged;
 * each edge label is one :class:`~repro.graph.columns.EdgeColumn` —
   CSR adjacency arrays in both directions, maintained incrementally by
   bounded pending overlays and periodic linear merges, so
@@ -272,13 +273,14 @@ class GraphStore:
         "_epoch",
         "_dicts_epoch",
         "_nodes_epoch",
+        "_prints_epoch",
     )
 
     def __init__(self) -> None:
         # slot -> interned label id (-1 marks a free slot)
         self._slot_label = array("q")
-        # slot -> print value (NO_PRINT when absent)
-        self._slot_print: List[Any] = []
+        # slot -> print value, for the slots whose node carries one
+        self._slot_print: Dict[int, Any] = {}
         # slot -> external node id (-1 when free)
         self._slot_id = array("q")
         self._id_map = IdSlotMap()
@@ -312,7 +314,7 @@ class GraphStore:
         self._plan_cache: Optional[Dict[Any, Any]] = None
         # --- copy-on-write state (see fork) ---
         self._frozen = False
-        self._epoch = self._dicts_epoch = self._nodes_epoch = next(_FORK_EPOCHS)
+        self._epoch = self._dicts_epoch = self._nodes_epoch = self._prints_epoch = next(_FORK_EPOCHS)
 
     # ------------------------------------------------------------------
     # change tracking
@@ -387,9 +389,14 @@ class GraphStore:
         otherwise first replaces it with ``clone(epoch)``.  Forking
         moves a live parent to a fresh epoch, so its first write to each
         shared column clones that column once: the bytes copied follow
-        the changes, not the store.  The top-level dicts and the
-        slot/id/print columns are stamped as two groups
-        (``_dicts_epoch``, ``_nodes_epoch``).  Sorted-adjacency indexes
+        the changes, not the store.  The top-level dicts, the slot and
+        id columns, and the two print maps (slot -> print value and the
+        (label, print value) index) are stamped as three groups
+        (``_dicts_epoch``, ``_nodes_epoch``, ``_prints_epoch``).  The
+        print maps are privatized only by a write to a print, and the
+        slot map holds only printable slots: a commit that adds an
+        object node copies no container the size of the store for the
+        collector to walk.  Sorted-adjacency indexes
         and frozenset views are memoized *on the shared columns*, so
         both sides return the identical objects until the live side
         writes to that column.
@@ -432,7 +439,7 @@ class GraphStore:
         clone._empty_adjacency = self._empty_adjacency
         # no shared container carries a fresh epoch, and no epoch is 0
         clone._epoch = next(_FORK_EPOCHS)
-        clone._dicts_epoch = clone._nodes_epoch = 0
+        clone._dicts_epoch = clone._nodes_epoch = clone._prints_epoch = 0
         if not self._frozen:
             # the live parent must now copy on write too; a frozen parent
             # never mutates, so forking it is read-only (and thread-safe)
@@ -448,24 +455,30 @@ class GraphStore:
             )
         if self._dicts_epoch != self._epoch:
             self._members = dict(self._members)
-            self._prints = dict(self._prints)
             self._ecols = dict(self._ecols)
             self._out_stats = dict(self._out_stats)
             self._in_stats = dict(self._in_stats)
             self._dicts_epoch = self._epoch
 
     def _own_node_cols(self) -> None:
-        """Privatize the slot, id and print columns before a node write."""
+        """Privatize the slot and id columns before a node write."""
         epoch = self._epoch
         if self._nodes_epoch == epoch:
             return
         self._slot_label = self._slot_label[:]
         self._slot_id = self._slot_id[:]
-        self._slot_print = list(self._slot_print)
         self._id_map = self._id_map.clone()
         self._free = list(self._free)
         self._ids = self._ids.clone(epoch)
         self._nodes_epoch = epoch
+
+    def _own_prints(self) -> None:
+        """Privatize the slot -> print map and the (label, print) index
+        before a print write; a write that touches no print copies neither."""
+        if self._prints_epoch != self._epoch:
+            self._slot_print = dict(self._slot_print)
+            self._prints = dict(self._prints)
+            self._prints_epoch = self._epoch
 
     def _own(self, table: Dict[int, Any], key: int, factory: Callable[..., Any]) -> Any:
         """``table[key]`` made writable in place: created by ``factory``
@@ -477,7 +490,16 @@ class GraphStore:
             col = table[key] = col.clone(self._epoch)
         return col
 
-    def _drop_print(self, key: Tuple[int, Any], node_id: int) -> None:
+    def _put_print(self, slot: int, node_id: int, lid: int, value: Any) -> None:
+        self._own_prints()
+        self._slot_print[slot] = value
+        key = (lid, value)
+        self._prints[key] = self._prints.get(key, EMPTY_SET) | {node_id}
+
+    def _drop_print(self, slot: int, node_id: int, lid: int, value: Any) -> None:
+        self._own_prints()
+        del self._slot_print[slot]
+        key = (lid, value)
         rest = self._prints[key] - {node_id}
         if rest:
             self._prints[key] = rest
@@ -508,18 +530,15 @@ class GraphStore:
             slot = self._free.pop()
             self._slot_label[slot] = lid
             self._slot_id[slot] = node_id
-            self._slot_print[slot] = print_value
         else:
             slot = len(self._slot_label)
             self._slot_label.append(lid)
             self._slot_id.append(node_id)
-            self._slot_print.append(print_value)
+        if print_value is not NO_PRINT:
+            self._put_print(slot, node_id, lid, print_value)
         self._id_map.set(node_id, slot)
         self._ids.add(node_id)
         self._own(self._members, lid, IntColumn).add(node_id)
-        if print_value is not NO_PRINT:
-            key = (lid, print_value)
-            self._prints[key] = self._prints.get(key, EMPTY_SET) | {node_id}
         self._generation += 1
         self._stats_epoch += 1
         for tracker in self._trackers:
@@ -535,14 +554,13 @@ class GraphStore:
         for edge in list(self.edges_of(node_id)):
             self.remove_edge(edge.source, edge.label, edge.target)
         lid = self._slot_label[slot]
-        print_value = self._slot_print[slot]
+        print_value = self._slot_print.get(slot, NO_PRINT)
         self._own_node_cols()
         self._own(self._members, lid, IntColumn).discard(node_id)
         if print_value is not NO_PRINT:
-            self._drop_print((lid, print_value), node_id)
+            self._drop_print(slot, node_id, lid, print_value)
         self._slot_label[slot] = -1
         self._slot_id[slot] = -1
-        self._slot_print[slot] = NO_PRINT
         self._id_map.pop(node_id)
         self._free.append(slot)
         self._ids.discard(node_id)
@@ -560,14 +578,11 @@ class GraphStore:
         slot = self._require_slot(node_id)
         self._before_write()
         lid = self._slot_label[slot]
-        old_value = self._slot_print[slot]
+        old_value = self._slot_print.get(slot, NO_PRINT)
         if old_value is not NO_PRINT:
-            self._drop_print((lid, old_value), node_id)
-        self._own_node_cols()
-        self._slot_print[slot] = print_value
+            self._drop_print(slot, node_id, lid, old_value)
         if print_value is not NO_PRINT:
-            key = (lid, print_value)
-            self._prints[key] = self._prints.get(key, EMPTY_SET) | {node_id}
+            self._put_print(slot, node_id, lid, print_value)
         self._generation += 1
         for journal in self._journals:
             journal.entries.append(("set_print", node_id, old_value, print_value))
@@ -582,7 +597,7 @@ class GraphStore:
     def node(self, node_id: int) -> NodeRecord:
         """Return a :class:`NodeRecord` snapshot for ``node_id``."""
         slot = self._require_slot(node_id)
-        return NodeRecord(label_name(self._slot_label[slot]), self._slot_print[slot])
+        return NodeRecord(label_name(self._slot_label[slot]), self._slot_print.get(slot, NO_PRINT))
 
     def label_of(self, node_id: int) -> str:
         """Return the label of ``node_id`` (the canonical interned str)."""
@@ -594,7 +609,7 @@ class GraphStore:
 
     def print_of(self, node_id: int) -> Any:
         """Return the print value of ``node_id`` (or :data:`NO_PRINT`)."""
-        return self._slot_print[self._require_slot(node_id)]
+        return self._slot_print.get(self._require_slot(node_id), NO_PRINT)
 
     def nodes(self) -> Iterator[int]:
         """Iterate over node ids in ascending (creation) order.
@@ -990,7 +1005,7 @@ class GraphStore:
             slot = id_map.get(node_id)
             node_ids.append(node_id)
             node_labels.append(localize(slot_label[slot]))
-            value = slot_print[slot]
+            value = slot_print.get(slot, NO_PRINT)
             if value is not NO_PRINT:
                 prints.append([index, value])
         edges: List[List[Any]] = []
@@ -1052,7 +1067,7 @@ class GraphStore:
         slot_label = array("q", [lids[local_id] for local_id in node_labels])
         store._slot_label = slot_label
         store._slot_id = array("q", node_ids)
-        slot_print = store._slot_print = [NO_PRINT] * len(node_ids)
+        slot_print = store._slot_print
         id_map = store._id_map
         members: Dict[int, List[int]] = {}
         for slot, node_id in enumerate(node_ids):

@@ -6,85 +6,77 @@ dispatches to — it looks the pattern's plan up in the per-store cache
 The executor enumerates deterministically (sorted candidates at every
 step) and yields exactly the set of label/print/edge-preserving total
 maps — equivalence with the backtracking and textbook reference
-matchers is property-tested.
+matchers, and content-and-order equality with the reference step
+interpreter kept with the test oracles, is property-tested.
 
-Left-deep plans run on a recursive step interpreter.  Multiway plans
-(:attr:`Plan.strategy` == ``"multiway"``) are *compiled*: the plan is
-code-generated into one nested-``for`` generator function in which
-every :class:`~repro.plan.steps.MultiwayIntersect` becomes a chain of
-C-level set intersections, each probe fetch and partial intersection
-hoisted to the loop level of its deepest anchor variable — the trie
-ordering of leapfrog triejoin — with an early ``continue`` as soon as
-any partial intersection comes up empty.  That removes the two costs
-that dominate the interpreter on cyclic patterns (a generator frame
-per binding and a per-candidate label/print re-check; candidates come
-out of the intersection already label-checked), which is where the
-multiway plan's measured speedup comes from.  The interpreter keeps a
-``MultiwayIntersect`` branch built on the galloping k-way
-:func:`~repro.plan.leapfrog.intersect_sorted` as the reference path —
-tests run both and assert identical output.
-
-*Seeded* plans (``plan.fixed`` non-empty) compile too, whatever their
-strategy — ``Extend`` folds into the same intersection chains,
-subscripting the store's per-label, per-direction neighbour-set map
+Every plan is *compiled*: left-deep or multiway, seeded or not.  The
+plan is code-generated into one nested-``for`` generator function with
+one loop per binding step.  Each ``Extend`` or ``MultiwayIntersect``
+becomes a chain of C-level frozenset intersections over the anchors'
+neighbour sets, each probe fetch and partial intersection hoisted to
+the loop level of its deepest anchor variable — the trie ordering of
+leapfrog triejoin — with an early ``continue`` as soon as a partial
+intersection comes up empty.  A ``ScanEdges`` step is one loop that
+binds both ends of its edge; ``Verify`` is one ``has_edge`` test.
+Multiway plans read the label's CSR span sets
+(:meth:`~repro.graph.store.GraphStore.sorted_adjacency`); every other
+probe reads the store's per-label, per-direction neighbour-set map
 (:meth:`~repro.graph.store.GraphStore.neighbour_sets`, memoized on the
-edge column itself) rather than a sorted-adjacency index: a fixpoint
-round mutates the store between rounds, and rebuilding a full CSR
-index per round would cost O(E log E) each time — exactly the wrong
-trade for delta seeding.  The interpreter resolves the same maps once
-per call, outside its candidate loops.  :func:`seeded_runner` instantiates
-one runner per plan and hands back a plain callable, so semi-naive
-delta rounds (:func:`repro.core.matching.find_matchings_delta`) pay
-the per-plan setup once and a single generator per seed — not a plan
-lookup, a signature hash and an interpreter frame stack per delta
-edge.  Unseeded left-deep plans stay on the interpreter: they
-amortise its overhead over a whole enumeration, and they are the
-baseline the multiway benchmarks measure against.
+edge column itself), so a fixpoint round that mutates the store never
+forces an O(E log E) index rebuild.
 
-Index probes (adjacency and edge-index reads), leapfrog seeks and
-multiway intersections are tallied locally and charged to the
-thread-local :mod:`repro.core.counters` collectors when the generator
-finishes or is closed, so server ``STATS`` sees them.
+A candidate's *label* is checked only where the scheme does not imply
+it: when P admits a single label at the far end of one of the
+candidate's probes (:meth:`~repro.core.scheme.Scheme.far_labels`), every
+neighbour already carries it — ``Instance.edge_violation`` enforces P
+on insert and LOAD validates.  Otherwise the runner tests the label
+inline, per candidate; print predicates are tested inline too, and a
+print constant joins the intersection chain as its one-node set.  No
+step reads the per-label member set (``nodes_with_label``), a memo
+that every write to the label rebuilds in O(|label|).
+
+Runners are cached per plan *shape* — step kinds, nodes, probes, edge
+labels and ``fixed``, plus the per-node checks above — not per
+:class:`~repro.plan.steps.Plan` value, which also carries estimates,
+the statistics epoch and print constants: one runner serves every
+pilot name and survives every commit.  Code generation yields a
+factory; :func:`seeded_runner` calls it with the live data (neighbour
+maps, seed lists, constants), so no ``exec`` runs per call and no
+reference cycle is left behind.  The generator function it returns is
+what semi-naive delta rounds
+(:func:`repro.core.matching.find_matchings_delta`) call once per seed.
+
+Index probes (adjacency and edge-index reads, charged in bulk per
+loop from its trip count) and multiway intersections are tallied
+locally and charged to the thread-local :mod:`repro.core.counters`
+collectors when the generator finishes or is closed, so server
+``STATS`` sees them.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import counters as _counters
 from repro.core.instance import Instance
 from repro.core.pattern import Pattern
+from repro.core.scheme import Scheme
+from repro.graph.columns import lookup_label
 from repro.graph.store import NO_PRINT
 from repro.plan.cache import plan_for
-from repro.plan.leapfrog import intersect_sorted
 from repro.plan.steps import Extend, MultiwayIntersect, Plan, ScanEdges, ScanNodes, Verify
 
 #: A matching: pattern node id -> instance node id.
 Matching = Dict[int, int]
 
-#: Compiled nested-loop runners, keyed by plan (codegen is pure in the
-#: plan shape; per-instance data is injected at call time).
+#: Compiled runner factories, keyed by plan shape and per-node checks
+#: (codegen is pure in those; per-instance data is bound at call time).
 MAX_COMPILED_RUNNERS = 128
-_runner_cache: "OrderedDict[Plan, Tuple[Any, Dict[str, Any]]]" = OrderedDict()
+_runner_cache: "OrderedDict[Hashable, Tuple[Callable[..., Any], Tuple[Tuple[str, Any], ...]]]" = OrderedDict()
 
-
-def _seed_candidates(pattern: Pattern, instance: Instance, node: int) -> FrozenSet[int]:
-    """Base candidates of a seed node (label/print/predicate indexes)."""
-    record = pattern.node_record(node)
-    if record.has_print:
-        found = instance.find_printable(record.label, record.print_value)
-        return frozenset() if found is None else frozenset((found,))
-    candidates = instance.nodes_with_label(record.label)
-    predicate = pattern.predicate_of(node)
-    if predicate is not None:
-        candidates = frozenset(
-            candidate
-            for candidate in candidates
-            if instance.print_of(candidate) is not NO_PRINT
-            and predicate(instance.print_of(candidate))
-        )
-    return candidates
+#: Per-node check codes: what the runner tests of a candidate inline.
+NONE, LABEL, PREDICATE, LABEL_PREDICATE, PRINT = "", "l", "f", "lf", "p"
 
 
 def binding_ok(pattern: Pattern, instance: Instance, pattern_node: int, instance_node: int) -> bool:
@@ -108,114 +100,189 @@ def binding_ok(pattern: Pattern, instance: Instance, pattern_node: int, instance
 
 
 # ----------------------------------------------------------------------
-# compiled multiway runner
+# per-node checks
 # ----------------------------------------------------------------------
 
 
-def _generate_runner(plan: Plan) -> Optional[Tuple[str, Dict[str, Any]]]:
-    """Source text + environment spec for a compilable plan, or ``None``.
+def _admits_only(labels: frozenset, label: str) -> bool:
+    """Whether a far-end label set leaves ``label`` as the only choice."""
+    return not labels or (len(labels) == 1 and label in labels)
 
-    The generated generator function binds one loop per ``ScanNodes``/
-    ``MultiwayIntersect``/``Extend`` step (the latter two share the
-    fold; only ``MultiwayIntersect`` counts as an intersection).  Each
-    operand (a lazy per-node frozenset over the label's adjacency — a
-    sorted-adjacency index's span sets or the store's neighbour-set
-    map, chosen at instantiation — or the node's label/print
-    constraint set) is folded into a running
-    partial intersection at the loop level of its anchor variable, so
-    work that does not depend on the innermost variables happens once
-    per outer binding and an empty partial prunes the whole subtree
-    early.  All per-instance data arrives through default arguments,
-    making every hot-loop name a local.
 
-    Returns ``None`` when the plan contains a step the generator does
-    not model (the caller falls back to the interpreter).
+def _check(pattern: Pattern, node: int, implied: bool) -> str:
+    """The inline check code for a node whose label is ``implied`` or not."""
+    record = pattern.node_record(node)
+    if record.has_print:
+        return PRINT
+    predicate = pattern.predicate_of(node) is not None
+    if implied:
+        return PREDICATE if predicate else NONE
+    return LABEL_PREDICATE if predicate else LABEL
+
+
+def _checks(plan: Plan, pattern: Pattern, scheme: Scheme) -> Tuple[Any, ...]:
+    """Per binding step, what the runner must test of each candidate.
+
+    An ``Extend``/``MultiwayIntersect`` candidate's label is implied
+    when any one of its probes admits only that label at its far end
+    (the candidates are a subset of every probe's neighbours).  A
+    ``ScanEdges`` end's label is implied when P admits only that label
+    at that end of the edge label, whatever the other end.
+    """
+    codes: List[Any] = []
+    for step in plan.steps:
+        kind = type(step)
+        if kind is Extend or kind is MultiwayIntersect:
+            label = pattern.node_record(step.node).label
+            implied = any(
+                _admits_only(
+                    scheme.far_labels(edge_label, direction, pattern.node_record(anchor).label), label
+                )
+                for direction, edge_label, anchor in step.probes
+            )
+            codes.append(_check(pattern, step.node, implied))
+        elif kind is ScanEdges:
+            sources = scheme.far_labels(step.label, "in")
+            targets = scheme.far_labels(step.label, "out")
+            source_label = pattern.node_record(step.source).label
+            if step.source == step.target:
+                implied = _admits_only(sources, source_label) or _admits_only(targets, source_label)
+                codes.append(_check(pattern, step.source, implied))
+            else:
+                target_label = pattern.node_record(step.target).label
+                codes.append(
+                    (
+                        _check(pattern, step.source, _admits_only(sources, source_label)),
+                        _check(pattern, step.target, _admits_only(targets, target_label)),
+                    )
+                )
+        else:
+            codes.append(None)
+    return tuple(codes)
+
+
+# ----------------------------------------------------------------------
+# code generation
+# ----------------------------------------------------------------------
+
+
+def _generate_runner(plan: Plan, checks: Sequence[Any]) -> Tuple[str, Tuple[Tuple[str, Any], ...]]:
+    """Source of the runner factory ``_make`` and its parameter specs.
+
+    ``_make(*values)`` returns the generator function
+    ``_runner(fixed)``, one loop per ``ScanNodes``/``ScanEdges``/
+    ``Extend``/``MultiwayIntersect`` step (the latter two share the
+    intersection fold; only ``MultiwayIntersect`` counts as an
+    intersection).  Each probe operand is folded into a running partial
+    intersection at the loop level of its anchor variable, so work that
+    does not depend on the innermost variables happens once per outer
+    binding and an empty partial prunes the whole subtree early.  The
+    live data arrives as default arguments of ``_runner``, making every
+    hot-loop name a local.
+
+    The specs name, per parameter, what :func:`seeded_runner`
+    binds to it.  Raises :class:`ValueError` for a step that reads a
+    node no earlier step bound.
     """
     bound_depth: Dict[int, int] = {node: 0 for node in plan.fixed}
     # regions[d] holds the lines inside loop d (region 0 = preamble);
-    # loops[d - 1] describes the loop that opens region d
+    # loops[d - 1] is the header that opens region d
     regions: List[List[str]] = [[f"f{node} = fixed[{node}]" for node in plan.fixed]]
-    loops: List[Tuple[int, str]] = []
+    loops: List[Tuple[str, str]] = []
     probes_in: List[int] = [0]
     meets_in: List[int] = [0]
-    labels: Dict[str, str] = {}
-    adjacency: Dict[Tuple[str, str], str] = {}
-    scan_nodes: List[int] = []
-    mw_nodes: List[int] = []
+    names: Dict[Tuple[str, Any], str] = {}
     depth = 0
 
-    def label_ref(label: str) -> str:
-        name = labels.get(label)
+    def param(spec: Tuple[str, Any], prefix: str) -> str:
+        name = names.get(spec)
         if name is None:
-            name = labels[label] = f"l{len(labels)}"
+            name = names[spec] = f"{prefix}{len(names)}"
         return name
 
-    def adjacency_ref(direction: str, label: str) -> str:
-        name = adjacency.get((direction, label))
-        if name is None:
-            name = adjacency[(direction, label)] = f"a{len(adjacency)}"
-        return name
-
-    def ref(node: int) -> Optional[str]:
+    def ref(node: int) -> str:
         d = bound_depth.get(node)
         if d is None:
-            return None
+            raise ValueError(f"plan step reads ?{node} before any step binds it")
         return f"f{node}" if d == 0 and node in plan.fixed else f"v{node}"
 
-    def open_loop(node: int, iterable: str) -> None:
+    def open_loop(header: str, iterable: str, nodes: Tuple[int, ...]) -> None:
         nonlocal depth
         depth += 1
-        loops.append((node, iterable))
+        loops.append((header, iterable))
         regions.append([])
         probes_in.append(0)
         meets_in.append(0)
-        bound_depth[node] = depth
+        for node in nodes:
+            bound_depth[node] = depth
 
-    for step in plan.steps:
+    def check_lines(node: int, code: str) -> None:
+        var = f"v{node}"
+        if LABEL in code:
+            label_id_of = param(("label_id_of", None), "h")
+            regions[depth].append(f"if {label_id_of}({var}) != {param(('lid', node), 'k')}: continue")
+        if PREDICATE in code:
+            regions[depth].append(f"x = {param(('print_of', None), 'h')}({var})")
+            regions[depth].append(f"if x is NP or not {param(('pred', node), 'q')}(x): continue")
+        if code == PRINT:
+            regions[depth].append(f"if {var} not in {param(('print', node), 'c')}: continue")
+
+    for step, code in zip(plan.steps, checks):
         kind = type(step)
         if kind is ScanNodes:
             probes_in[depth] += 1
-            scan_nodes.append(step.node)
-            open_loop(step.node, f"seeds{step.node}")
+            seeds = param(("seeds", step.node), "s")
+            open_loop(f"for v{step.node} in {seeds}:", seeds, (step.node,))
+        elif kind is ScanEdges:
+            probes_in[depth] += 1
+            pairs = param(("pairs", step.label), "e")
+            source, target = step.source, step.target
+            if source == target:
+                open_loop(f"for v{source}, w{source} in {pairs}:", pairs, (source,))
+                regions[depth].append(f"if v{source} != w{source}: continue")
+                check_lines(source, code)
+            else:
+                open_loop(f"for v{source}, v{target} in {pairs}:", pairs, (source, target))
+                check_lines(source, code[0])
+                check_lines(target, code[1])
         elif kind is MultiwayIntersect or kind is Extend:
             node = step.node
+            adjacency = "csr" if kind is MultiwayIntersect else "adj"
             by_depth: Dict[int, List[str]] = {}
             for direction, label, anchor in step.probes:
-                anchor_ref = ref(anchor)
-                if anchor_ref is None:
-                    return None
-                expr = f"{adjacency_ref(direction, label)}[{anchor_ref}]"
+                expr = f"{param((adjacency, (direction, label)), 'a')}[{ref(anchor)}]"
                 by_depth.setdefault(bound_depth[anchor], []).append(expr)
             if not by_depth:
-                return None
-            mw_nodes.append(node)
-            current = f"c{node}"
+                raise ValueError(f"{type(step).__name__} on ?{node} has no probe")
+            # a print constant is the fold's first operand: its one-node
+            # set enforces label and value in the intersection itself
+            current = param(("print", node), "c") if code == PRINT else None
             fold = 0
             for d in sorted(by_depth):
                 for expr in by_depth[d]:
                     fold += 1
                     var = f"r{node}_{fold}"
-                    regions[d].append(f"{var} = {current} & {expr}")
-                    regions[d].append(
-                        f"if not {var}: " + ("return" if d == 0 else "continue")
-                    )
+                    regions[d].append(f"{var} = {expr}" if current is None else f"{var} = {current} & {expr}")
+                    regions[d].append(f"if not {var}: " + ("return" if d == 0 else "continue"))
                     probes_in[d] += 1
                     current = var
             if kind is MultiwayIntersect:
                 meets_in[max(by_depth)] += 1
             # singleton results skip the sort: order is trivially stable
-            open_loop(node, f"{current} if len({current}) < 2 else sorted({current})")
+            regions[depth].append(f"i{node} = {current} if len({current}) < 2 else sorted({current})")
+            open_loop(f"for v{node} in i{node}:", f"i{node}", (node,))
+            if code != PRINT:
+                check_lines(node, code)
         elif kind is Verify:
-            source_ref, target_ref = ref(step.source), ref(step.target)
-            if source_ref is None or target_ref is None:
-                return None
             probes_in[depth] += 1
+            has_edge = param(("has_edge", None), "h")
+            label = param(("label", step.label), "l")
             regions[depth].append(
-                f"if not he({source_ref}, {label_ref(step.label)}, {target_ref}): "
+                f"if not {has_edge}({ref(step.source)}, {label}, {ref(step.target)}): "
                 + ("return" if depth == 0 else "continue")
             )
         else:
-            return None
+            raise ValueError(f"unknown plan step {step!r}")
 
     loop_bound = [node for node, d in bound_depth.items() if d > 0]
     if loop_bound:
@@ -225,131 +292,124 @@ def _generate_runner(plan: Plan) -> Optional[Tuple[str, Dict[str, Any]]]:
     else:
         regions[depth].append("yield dict(fixed)")
 
-    env_names = (
-        list(adjacency.values())
-        + list(labels.values())
-        + [f"c{node}" for node in mw_nodes]
-        + [f"seeds{node}" for node in scan_nodes]
-        + (["he"] if labels else [])
-    )
-    defaults = "".join(f", {name}={name}" for name in env_names)
-    lines = [f"def _runner(fixed, tally{defaults}):", "    probes = 0", "    meets = 0", "    try:"]
-    pad = "        "
-    if probes_in[0] or meets_in[0]:
-        lines.append(pad + f"probes += {probes_in[0]}; meets += {meets_in[0]}")
+    used = list(names.values())
+    defaults = "".join(f", {name}={name}" for name in used)
+    lines = [
+        f"def _make({', '.join(used)}):",
+        f"    def _runner(fixed{defaults}):",
+        "        probes = 0",
+        "        meets = 0",
+        "        try:",
+    ]
+    def charges(d: int, trips: str) -> None:
+        # region d's per-entry tallies, charged in bulk: times the trip
+        # count of the loop that opens it (one line per binding, not per step)
+        parts = [
+            f"{counter} += {count}{trips}"
+            for counter, count in (("probes", probes_in[d]), ("meets", meets_in[d]))
+            if count
+        ]
+        if parts:
+            lines.append(pad + "; ".join(parts))
+
+    pad = "            "
+    charges(0, "")
     for d, region in enumerate(regions):
-        if (
-            d < len(loops)
-            and region
-            and region[-1] == f"if not {loops[d][1].split(' ')[0]}: continue"
-        ):
-            # the loop over an empty candidate set is its own guard
-            region = region[:-1]
         lines.extend(pad + line for line in region)
         if d < len(loops):
-            node, iterable = loops[d]
-            if " " in iterable:  # a conditional expression, not a bare name
-                lines.append(pad + f"i{node} = {iterable}")
-                iterable = f"i{node}"
-            # the next region's per-iteration tallies, charged in bulk
-            # from the trip count (one line per binding, not per step)
-            inner_probes, inner_meets = probes_in[d + 1], meets_in[d + 1]
-            if inner_probes or inner_meets:
-                lines.append(pad + f"n{node} = len({iterable})")
-                charges = []
-                if inner_probes:
-                    factor = f"{inner_probes} * n{node}" if inner_probes > 1 else f"n{node}"
-                    charges.append(f"probes += {factor}")
-                if inner_meets:
-                    factor = f"{inner_meets} * n{node}" if inner_meets > 1 else f"n{node}"
-                    charges.append(f"meets += {factor}")
-                lines.append(pad + "; ".join(charges))
-            lines.append(pad + f"for v{node} in {iterable}:")
+            header, iterable = loops[d]
+            charges(d + 1, f" * len({iterable})")
+            lines.append(pad + header)
             pad += "    "
-    lines.append("    finally:")
-    lines.append("        charge(index_probes=probes, intersections=meets)")
-    spec = {
-        "labels": labels,
-        "adjacency": adjacency,
-        "scan_nodes": scan_nodes,
-        "mw_nodes": mw_nodes,
-    }
-    return "\n".join(lines), spec
+    lines.append("        finally:")
+    lines.append("            charge(index_probes=probes, intersections=meets)")
+    lines.append("    return _runner")
+    return "\n".join(lines), tuple(names)
 
 
-def _runner_for(plan: Plan) -> Optional[Tuple[Any, Dict[str, Any]]]:
-    """The compiled code object + env spec for ``plan`` (LRU-cached)."""
-    cached = _runner_cache.get(plan)
+def _runner_factory(plan: Plan, checks: Tuple[Any, ...]):
+    """The compiled factory + parameter specs for ``plan`` (LRU-cached
+    per shape and checks)."""
+    key = (plan.shape, checks)
+    cached = _runner_cache.get(key)
     if cached is not None:
-        _runner_cache.move_to_end(plan)
+        try:
+            _runner_cache.move_to_end(key)
+        except KeyError:  # evicted by a concurrent reader; entry still valid
+            pass
         return cached
-    generated = _generate_runner(plan)
-    if generated is None:
-        return None
-    source, spec = generated
-    code = compile(source, "<multiway-plan>", "exec")
-    _runner_cache[plan] = (code, spec)
-    while len(_runner_cache) > MAX_COMPILED_RUNNERS:
-        _runner_cache.popitem(last=False)
-    return code, spec
+    source, specs = _generate_runner(plan, checks)
+    env: Dict[str, Any] = {"charge": _counters.charge, "NP": NO_PRINT}
+    exec(compile(source, "<match-plan>", "exec"), env)
+    # popping the factory leaves env (its globals) without a reference
+    # back to it: no function <-> globals cycle for the collector
+    compiled = (env.pop("_make"), specs)
+    _runner_cache[key] = compiled
+    try:
+        while len(_runner_cache) > MAX_COMPILED_RUNNERS:
+            _runner_cache.popitem(last=False)
+    except KeyError:  # a concurrent eviction raced ours; cache stays bounded
+        pass
+    return compiled
 
 
-def _instantiate_runner(plan: Plan, pattern: Pattern, instance: Instance):
-    """Bind the compiled runner to live data; ``None`` if uncompilable.
+def _scan_seeds(pattern: Pattern, instance: Instance, node: int) -> Sequence[int]:
+    """A scan node's candidates in ascending order (label/print/predicate indexes)."""
+    record = pattern.node_record(node)
+    if record.has_print:
+        found = instance.find_printable(record.label, record.print_value)
+        return () if found is None else (found,)
+    seeds = instance.store.sorted_nodes_with_label(record.label)
+    predicate = pattern.predicate_of(node)
+    if predicate is None:
+        return seeds
+    print_of = instance.print_of
+    kept = []
+    for candidate in seeds:
+        value = print_of(candidate)
+        if value is not NO_PRINT and predicate(value):
+            kept.append(candidate)
+    return kept
 
-    Returns the generator *function* (called as ``runner(fixed, None)``),
-    so callers with many seeds — the semi-naive delta path — pay this
-    setup once.  Multiway plans read the label's CSR span sets (built on
-    demand); other plans read the store's neighbour-set maps, which
-    live on the edge columns — delta seeding must not force an
-    O(E log E) index build every fixpoint round.
+
+def seeded_runner(plan: Plan, pattern: Pattern, instance: Instance) -> Callable[[Matching], Iterator[Matching]]:
+    """The compiled runner bound to live data: ``fixed -> Iterator[Matching]``.
+
+    Returns the generator *function*, so callers with many seeds — the
+    semi-naive delta path, :func:`repro.core.matching.find_matchings_delta`
+    — pay this setup once per plan and a single generator per seed.
+    Callers must validate the seed bindings themselves
+    (:func:`binding_ok`) — the runner assumes the fixed nodes already
+    satisfy their pattern records.
     """
-    compiled = _runner_for(plan)
-    if compiled is None:
-        return None
-    code, spec = compiled
+    make, specs = _runner_factory(plan, _checks(plan, pattern, instance.scheme))
     store = instance.store
-    env: Dict[str, Any] = {"he": store.has_edge, "charge": _counters.charge}
-    for label, name in spec["labels"].items():
-        env[name] = label
-    multiway = plan.strategy == "multiway"
-    for (direction, label), name in spec["adjacency"].items():
-        if multiway:
-            index = store.sorted_adjacency(label)
-            env[name] = index.targets_sets() if direction == "out" else index.sources_sets()
-        else:
-            env[name] = store.neighbour_sets(label, direction)
-    for node in spec["scan_nodes"]:
-        env[f"seeds{node}"] = sorted(_seed_candidates(pattern, instance, node))
-    for node in spec["mw_nodes"]:
-        record = pattern.node_record(node)
-        if record.has_print or pattern.predicate_of(node) is not None:
-            env[f"c{node}"] = frozenset(_seed_candidates(pattern, instance, node))
-        else:
-            env[f"c{node}"] = store.nodes_with_label(record.label)
-    exec(code, env)
-    return env["_runner"]
-
-
-def seeded_runner(plan: Plan, pattern: Pattern, instance: Instance):
-    """A ``fixed -> Iterator[Matching]`` callable with setup hoisted.
-
-    The factory behind :func:`repro.core.matching.find_matchings_delta`:
-    one compiled-runner instantiation (or one interpreter closure) per
-    plan, one generator per seed.  Callers must validate the seed
-    bindings themselves (:func:`binding_ok`) — the runner assumes the
-    fixed nodes already satisfy their pattern records.
-    """
-    if plan.strategy == "multiway" or plan.fixed:
-        runner = _instantiate_runner(plan, pattern, instance)
-        if runner is not None:
-            return lambda fixed: runner(fixed, None)
-    return lambda fixed: _interpret_plan(plan, pattern, instance, dict(fixed))
-
-
-# ----------------------------------------------------------------------
-# step interpreter
-# ----------------------------------------------------------------------
+    values: List[Any] = []
+    for kind, arg in specs:
+        if kind == "adj":
+            values.append(store.neighbour_sets(arg[1], arg[0]))
+        elif kind == "csr":
+            index = store.sorted_adjacency(arg[1])
+            values.append(index.targets_sets() if arg[0] == "out" else index.sources_sets())
+        elif kind == "seeds":
+            values.append(_scan_seeds(pattern, instance, arg))
+        elif kind == "print":
+            values.append(frozenset(_scan_seeds(pattern, instance, arg)))
+        elif kind == "pairs":
+            values.append(sorted(store.edges_with_label(arg)))
+        elif kind == "lid":
+            values.append(lookup_label(pattern.node_record(arg).label))
+        elif kind == "pred":
+            values.append(pattern.predicate_of(arg))
+        elif kind == "label":
+            values.append(arg)
+        elif kind == "has_edge":
+            values.append(store.has_edge)
+        elif kind == "label_id_of":
+            values.append(store.label_id_of)
+        else:  # "print_of"
+            values.append(store.print_of)
+    return make(*values)
 
 
 def execute_plan(
@@ -360,165 +420,17 @@ def execute_plan(
 ) -> Iterator[Matching]:
     """Stream the matchings ``plan`` enumerates, deterministically.
 
-    A dispatcher, not a generator: multiway and seeded plans get their
-    compiled nested-loop runner returned directly (no extra frame per
-    match), everything else goes through the step interpreter.
+    A dispatcher, not a generator: the compiled runner's generator is
+    returned directly (no extra frame per match).  ``fixed`` must bind
+    exactly the nodes the plan was compiled for (:attr:`Plan.fixed`).
     """
     fixed = dict(fixed or {})
+    if sorted(fixed) != list(plan.fixed):
+        raise ValueError(f"plan was compiled for fixed nodes {list(plan.fixed)}, given {sorted(fixed)}")
     for pattern_node, instance_node in fixed.items():
         if not binding_ok(pattern, instance, pattern_node, instance_node):
             return iter(())
-    if (plan.strategy == "multiway" or plan.fixed) and not (fixed and not plan.fixed):
-        runner = _instantiate_runner(plan, pattern, instance)
-        if runner is not None:
-            return runner(fixed, None)
-    return _interpret_plan(plan, pattern, instance, fixed)
-
-
-def _interpret_plan(
-    plan: Plan,
-    pattern: Pattern,
-    instance: Instance,
-    fixed: Matching,
-) -> Iterator[Matching]:
-    """The recursive step interpreter (reference path for every plan)."""
-    # work tallies: [index probes, leapfrog seeks, multiway intersections]
-    tally = [0, 0, 0]
-    try:
-        records = {node: pattern.node_record(node) for node in pattern.nodes()}
-        predicates = {node: pattern.predicate_of(node) for node in pattern.nodes()}
-        store = instance.store
-        assignment: Matching = dict(fixed)
-        steps = plan.steps
-
-        # per Extend step, its probes as (neighbour-set map, anchor): each
-        # map is resolved once per (direction, label) per call, when the
-        # step is first reached, outside every candidate loop, so a probe
-        # costs one subscript
-        resolved: Dict[Tuple[str, str], Mapping[int, FrozenSet[int]]] = {}
-        extend_probes: List[Optional[List[Tuple[Mapping[int, FrozenSet[int]], int]]]] = [None] * len(steps)
-
-        def resolve(step: Extend) -> List[Tuple[Mapping[int, FrozenSet[int]], int]]:
-            probes = []
-            for direction, label, anchor in step.probes:
-                sets = resolved.get((direction, label))
-                if sets is None:
-                    sets = resolved[direction, label] = store.neighbour_sets(label, direction)
-                probes.append((sets, anchor))
-            return probes
-
-        label_of = instance.label_of
-        print_of = instance.print_of
-
-        def node_ok(node: int, candidate: int) -> bool:
-            # raw column reads — no NodeRecord allocation per candidate
-            record = records[node]
-            if label_of(candidate) != record.label:
-                return False
-            c_print = print_of(candidate)
-            if record.has_print and record.print_value != c_print:
-                return False
-            predicate = predicates[node]
-            if predicate is not None:
-                if c_print is NO_PRINT or not predicate(c_print):
-                    return False
-            return True
-
-        def run(index: int) -> Iterator[Matching]:
-            if index == len(steps):
-                yield dict(assignment)
-                return
-            step = steps[index]
-            if type(step) is Extend:
-                probes = extend_probes[index]
-                if probes is None:
-                    probes = extend_probes[index] = resolve(step)
-                tally[0] += len(probes)
-                if len(probes) == 1:
-                    sets, anchor = probes[0]
-                    result = sets[assignment[anchor]]
-                else:
-                    adjacency: List[FrozenSet[int]] = []
-                    for sets, anchor in probes:
-                        adjacency.append(sets[assignment[anchor]])
-                    adjacency.sort(key=len)
-                    result = adjacency[0]
-                    for narrower in adjacency[1:]:
-                        if not result:
-                            return
-                        result = result & narrower
-                node = step.node
-                for candidate in sorted(result):
-                    if node_ok(node, candidate):
-                        assignment[node] = candidate
-                        yield from run(index + 1)
-                        del assignment[node]
-            elif type(step) is MultiwayIntersect:
-                # reference path: galloping k-way intersection over the
-                # CSR adjacency slices and the node's sorted label array
-                node = step.node
-                operands: List[Sequence[int]] = []
-                for direction, label, anchor in step.probes:
-                    adjacency_index = store.sorted_adjacency(label)
-                    image = assignment[anchor]
-                    if direction == "out":
-                        operands.append(adjacency_index.targets_of(image))
-                    else:
-                        operands.append(adjacency_index.sources_of(image))
-                tally[0] += len(operands)
-                record = records[node]
-                if record.has_print or predicates[node] is not None:
-                    # tiny explicit constraint list: enforces label,
-                    # print value and predicate in the intersection
-                    operands.append(sorted(_seed_candidates(pattern, instance, node)))
-                else:
-                    operands.append(store.sorted_nodes_with_label(record.label))
-                candidates, step_seeks = intersect_sorted(operands)
-                tally[1] += step_seeks
-                tally[2] += 1
-                for candidate in candidates:
-                    assignment[node] = candidate
-                    yield from run(index + 1)
-                    del assignment[node]
-            elif type(step) is Verify:
-                tally[0] += 1
-                if store.has_edge(
-                    assignment[step.source], step.label, assignment[step.target]
-                ):
-                    yield from run(index + 1)
-            elif type(step) is ScanNodes:
-                tally[0] += 1
-                node = step.node
-                for candidate in sorted(_seed_candidates(pattern, instance, node)):
-                    assignment[node] = candidate
-                    yield from run(index + 1)
-                    del assignment[node]
-            else:  # ScanEdges
-                tally[0] += 1
-                source, target = step.source, step.target
-                if source == target:
-                    for s, t in sorted(store.edges_with_label(step.label)):
-                        if s == t and node_ok(source, s):
-                            assignment[source] = s
-                            yield from run(index + 1)
-                            del assignment[source]
-                else:
-                    for s, t in sorted(store.edges_with_label(step.label)):
-                        if node_ok(source, s) and node_ok(target, t):
-                            assignment[source] = s
-                            assignment[target] = t
-                            yield from run(index + 1)
-                            del assignment[target]
-                            del assignment[source]
-
-        yield from run(0)
-    finally:
-        if tally[0] or tally[1] or tally[2]:
-            _counters.charge(
-                index_probes=tally[0],
-                leapfrog_seeks=tally[1],
-                intersections=tally[2],
-            )
+    return seeded_runner(plan, pattern, instance)(fixed)
 
 
 def planned_matchings(

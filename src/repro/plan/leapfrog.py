@@ -21,7 +21,10 @@ Operands may be lists, ``array('q')`` values or the zero-copy
 ``memoryview`` slices :class:`~repro.graph.adjacency.AdjacencyIndex`
 hands out — anything indexable, sorted ascending and duplicate-free.
 Every function returns the number of galloping seeks it performed so
-the executor can charge ``leapfrog_seeks`` to the work counters.
+a caller can charge ``leapfrog_seeks`` to the work counters.  The
+production executor folds multiway steps into frozenset intersections
+instead; this galloping operator is what the reference step
+interpreter, kept with the test oracles, runs.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ checking) pattern nodes against the instance's indexes:
 * :class:`Extend` — bind one more pattern node by intersecting
   ``out_neighbours``/``in_neighbours`` probes from already-bound nodes
   (an index nested-loop join);
-* :class:`MultiwayIntersect` — bind one more pattern node by a
-  leapfrog/galloping k-way intersection of sorted adjacency arrays
-  (:mod:`repro.plan.leapfrog` over :mod:`repro.graph.adjacency`); the
-  worst-case-optimal operator the planner emits for cyclic patterns;
+* :class:`MultiwayIntersect` — bind one more pattern node by a k-way
+  intersection of the anchors' sorted adjacency (CSR) sets
+  (:mod:`repro.graph.adjacency`); the worst-case-optimal operator the
+  planner emits for cyclic patterns;
 * :class:`Verify` — check a pattern edge whose endpoints are both
   bound (residual edges: self-loops, parallel edges, cross edges).
 
@@ -35,6 +35,7 @@ style as the relational plan algebra in :mod:`repro.storage.minirel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Tuple
 
 
@@ -101,9 +102,9 @@ class MultiwayIntersect:
 
     Probes read exactly like :class:`Extend` — ``(direction, edge
     label, anchor node)`` — but execution intersects the anchors' CSR
-    adjacency slices *and* the node's sorted label array in one
-    leapfrog pass, so candidates come out label-checked without a
-    per-candidate record lookup and without materialising a set.
+    span sets (built once per statistics epoch) rather than the edge
+    columns' neighbour-set maps, in the variable order of leapfrog
+    triejoin.
     """
 
     node: int
@@ -152,6 +153,25 @@ class Plan:
     estimated_rows: float
     epoch: int
     strategy: str = "left-deep"
+
+    @cached_property
+    def shape(self) -> Tuple[Any, ...]:
+        """The plan without its estimates, epoch and print constants.
+
+        Step kinds, nodes, probes, labels and ``fixed``: everything the
+        executor's generated code depends on, so plans compiled at other
+        statistics epochs or for other print constants share one runner.
+        """
+        steps: List[Tuple[Any, ...]] = []
+        for step in self.steps:
+            kind = type(step)
+            if kind is ScanNodes:
+                steps.append(("ScanNodes", step.node, step.label))
+            elif kind is Extend or kind is MultiwayIntersect:
+                steps.append((kind.__name__, step.node, step.probes))
+            else:  # ScanEdges, Verify
+                steps.append((kind.__name__, step.source, step.label, step.target))
+        return (self.fixed, tuple(steps))
 
     def explain(self, indent: int = 0) -> str:
         """EXPLAIN text, indent-per-child like ``minirel`` plans."""

@@ -131,6 +131,30 @@ class ColumnarMatchesReference(RuleBasedStateMachine):
             self.dead.remove(node)
             self.live.append(node)
 
+    @rule(
+        label=st.sampled_from(NODE_LABELS),
+        node_ids=st.lists(
+            st.one_of(
+                # landmarks 550 apart: one batch can park an id past the
+                # dense array's reach and then grow the array over it
+                st.builds(lambda step, offset: 550 * step + offset, st.integers(0, 4), st.integers(0, 1)),
+                st.integers(min_value=-(2**62), max_value=2**62),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def add_nodes_at_explicit_ids(self, label, node_ids):
+        """Explicit ids in any order — gaps over 1 024, negative ids,
+        huge ids — go through the id map's overflow until the dense
+        array grows over them; none may get lost on the way."""
+        for node_id in node_ids:
+            status, _ = self._pair(lambda s: s.add_node(label, node_id=node_id))
+            if status == "ok":
+                self.live.append(node_id)
+                if node_id in self.dead:
+                    self.dead.remove(node_id)
+
     @rule(data=st.data())
     def remove_node(self, data):
         if not self.live:

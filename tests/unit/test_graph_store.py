@@ -418,6 +418,35 @@ def test_commit_after_publish_allocates_o_changes_containers():
     assert store.out_neighbours(nodes[0], "e") == frozenset({nodes[1], nodes[2]})
 
 
+def test_object_node_after_publish_copies_no_per_node_container():
+    """Adding an object node after ``fork()`` must not copy any
+    gc-tracked container with a cell per node: the collector walks each
+    such copy on its next young-generation pass, so its size is paid as
+    pause time on some later request."""
+    size = 10_000
+    store = GraphStore()
+    nodes = [store.add_node("A", print_value=i if i % 5 == 0 else NO_PRINT) for i in range(size)]
+    _warm_everything(store, nodes)
+    gc.collect()
+    gc.disable()
+    try:
+        before = {id(obj) for obj in gc.get_objects()}
+        snapshot = store.fork()
+        added = store.add_node("A")
+        cells = sum(
+            len(obj)
+            for obj in gc.get_objects()
+            if id(obj) not in before
+            and obj is not before
+            and isinstance(obj, (list, dict, set, frozenset, tuple))
+        )
+    finally:
+        gc.enable()
+    assert cells <= 100, cells
+    assert not snapshot.has_node(added) and store.print_of(added) is NO_PRINT
+    assert snapshot.print_of(nodes[5]) == store.print_of(nodes[5]) == 5
+
+
 def test_forked_dirty_column_keeps_snapshot_and_shares_untouched_sets():
     """A column with a pending overlay, forked and then mutated: the
     snapshot keeps answering the pre-fork contents, the live side sees

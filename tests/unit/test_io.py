@@ -265,3 +265,26 @@ def test_unparseable_file_names_the_path(tmp_path):
         load_instance(path)
     with pytest.raises(SerializationError, match="broken.json"):
         load_scheme(path)
+
+
+def test_sparse_first_id_keeps_its_label_through_a_checkpoint():
+    """A format-1 document that lists id 2000 first and then the dense
+    ids 0-2499 around it: growing the store's dense id array over the
+    early sparse id must not lose it (it used to read back as absent,
+    and the checkpoint wrote it with the last slot's label)."""
+    from repro.core import Scheme
+    from repro.graph import GraphStore
+    from repro.io.serialize import scheme_to_json
+
+    scheme = Scheme(object_labels=["A", "B"])
+    nodes = [{"id": 2000, "label": "A"}]
+    nodes += [{"id": node, "label": "B"} for node in range(2500) if node != 2000]
+    document = {"format": 1, "scheme": scheme_to_json(scheme), "nodes": nodes, "edges": []}
+    loaded = instance_from_json(document)
+    assert loaded.has_node(2000)
+    assert loaded.label_of(2000) == "A"
+    assert loaded.store.labels_of([2000]) == ["A"]
+    restored = GraphStore.from_columns(loaded.store.snapshot_columns())
+    assert restored.label_of(2000) == "A"
+    assert restored.nodes_with_label("A") == {2000}
+    assert restored.node_count == 2500

@@ -195,13 +195,13 @@ def test_planner_scans_only_the_seed_node(tiny_scheme, tiny_instance, monkeypatc
     pattern.edge(x, "knows", y)
 
     calls = []
-    original = executor_module._seed_candidates
+    original = executor_module._scan_seeds
 
     def counting(pattern_arg, instance_arg, node):
         calls.append(node)
         return original(pattern_arg, instance_arg, node)
 
-    monkeypatch.setattr(executor_module, "_seed_candidates", counting)
+    monkeypatch.setattr(executor_module, "_scan_seeds", counting)
     found = list(find_matchings(pattern, tiny_instance))
     assert len(found) == 3
     assert len(calls) <= 1  # at most the seed (edge seeds scan no node at all)

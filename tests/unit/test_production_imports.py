@@ -2,11 +2,12 @@
 non-served reproductions.
 
 The reference implementations the suites compare against (dict store,
-backtracking/naive matchers, full-rematch fixpoint, snapshot
-transactions) live in ``repro.testing``.  Production packages must not
-pull them in — checked twice: at run time (a fresh interpreter that
-imports every served entry point has no oracle module loaded) and
-statically (no production source file mentions the package).
+backtracking/naive matchers, the plan step interpreter, full-rematch
+fixpoint, snapshot transactions) live in ``repro.testing``.  Production
+packages must not pull them in — checked twice: at run time (a fresh
+interpreter that imports every served entry point has no oracle module
+loaded) and statically (no production source file mentions the
+package).
 
 The expressiveness and figure reproductions (Turing machines,
 relational completeness, graph grammars, the hypermedia example) are
@@ -78,5 +79,17 @@ def test_no_production_source_mentions_the_testing_package():
         for path in sorted(SRC.rglob("*.py"))
         if path.relative_to(SRC).parts[0] != "testing"
         and "repro.testing" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_no_production_source_names_the_plan_interpreter():
+    """The step interpreter is the compiled executor's oracle: one
+    execution path runs in production."""
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).parts[0] != "testing"
+        and "interpret_plan" in path.read_text(encoding="utf-8")
     ]
     assert offenders == []

@@ -30,7 +30,7 @@ from repro.plan import (
 )
 from repro.plan import executor as executor_module
 from repro.plan.executor import seeded_runner
-from repro.testing import find_matchings_backtracking
+from repro.testing import find_matchings_backtracking, interpret_plan
 
 
 def graph_scheme() -> Scheme:
@@ -277,7 +277,7 @@ def test_compiled_runner_matches_interpreter():
     pattern, _ = triangle_pattern(db.scheme)
     plan = compile_plan(pattern, db, strategy="multiway")
     compiled = list(execute_plan(plan, pattern, db))
-    interpreted = list(executor_module._interpret_plan(plan, pattern, db, {}))
+    interpreted = list(interpret_plan(plan, pattern, db))
     assert compiled == interpreted  # same matchings, same order
 
 
@@ -292,9 +292,7 @@ def test_multiway_execution_charges_wcoj_counters():
     assert tally.intersections > 0
 
     with counters.collect() as tally:
-        interpreted = list(
-            executor_module._interpret_plan(plan, pattern, db, {})
-        )
+        interpreted = list(interpret_plan(plan, pattern, db))
     assert interpreted == found
     assert tally.leapfrog_seeks > 0  # the galloping reference path
 
@@ -320,7 +318,9 @@ def test_seeded_left_deep_plans_compile():
     pattern, (x, y, z) = triangle_pattern(db.scheme)
     plan, _ = plan_for(pattern, db, (x, y))
     if plan.strategy == "left-deep":
-        assert executor_module._generate_runner(plan) is not None
+        checks = executor_module._checks(plan, pattern, db.scheme)
+        source, _ = executor_module._generate_runner(plan, checks)
+        assert "def _runner(fixed" in source
 
 
 # ----------------------------------------------------------------------
