@@ -4,14 +4,18 @@ A real out-of-process test of the durability contract:
 
 1. start ``repro serve --data-dir DIR`` as a subprocess;
 2. create a database and commit a few programs over TCP (every ``RUN``
-   is acknowledged only after its WAL record is fsynced);
+   is acknowledged only after its WAL record is fsynced), then ``UNDO``
+   the last one — an UNDO is an ordinary commit, so its record is about
+   as small as the commit it reverses, not a copy of the database;
 3. ``SIGKILL`` the server — no shutdown handler runs, exactly like a
    power cut from the process's point of view;
 4. flip one byte in the first record of a copy of the data directory:
    ``repro recover`` on the copy must refuse it, naming the segment,
-   rather than truncate three acknowledged commits as a "torn tail";
+   rather than truncate acknowledged commits as a "torn tail";
 5. start a fresh server on the original data directory and read the
-   database back: every acknowledged commit must be there.
+   database back: every acknowledged commit must be there, the undone
+   one must not, and a new ``UNDO`` finds nothing to undo (undo history
+   does not survive a restart).
 
 Also used by CI as the recovery smoke step: every step asserts.
 """
@@ -29,10 +33,13 @@ import time
 from repro.core import Scheme
 from repro.io.serialize import scheme_to_json
 from repro.server import GoodClient
+from repro.server.client import RemoteError
 from repro.server.protocol import ProtocolError
 from repro.wal.checkpoint import segment_name
 
 PORT = 25990  # out of the way of a real `repro serve`
+KEPT = ("ada", "grace", "edsger")
+UNDONE = "alan"
 
 
 def people_scheme() -> Scheme:
@@ -103,12 +110,18 @@ def main() -> None:
             with GoodClient("127.0.0.1", PORT) as client:
                 client.create("people", scheme=scheme_to_json(people_scheme()))
                 client.use("people")
-                for name in ("ada", "grace", "edsger"):
-                    result = client.run(
-                        f'addnode Person(name -> n) {{ n: String = "{name}" }}'
-                    )
+                for name in KEPT + (UNDONE,):
+                    client.run(f'addnode Person(name -> n) {{ n: String = "{name}" }}')
+                segment = os.path.join(data_dir, "people", segment_name(0))
+                before = os.path.getsize(segment)
+                result = client.undo()
+                undo_bytes = os.path.getsize(segment) - before
                 acked = (result["nodes"], result["edges"])
-                print(f"committed 3 programs, acked state: {acked[0]} nodes, {acked[1]} edges")
+                print(
+                    f"committed {len(KEPT) + 1} programs and undid the last "
+                    f"({undo_bytes} B of WAL), acked state: {acked[0]} nodes, {acked[1]} edges"
+                )
+                assert 0 < undo_bytes < 4096, undo_bytes
         finally:
             # -- the crash: SIGKILL, no cleanup of any kind ----------------
             server.send_signal(signal.SIGKILL)
@@ -127,10 +140,19 @@ def main() -> None:
                 print(f"recovered state: {recovered[0]} nodes, {recovered[1]} edges")
                 assert recovered == acked, (recovered, acked)
                 names = client.match("{ p: Person; n: String; p -name-> n }")
-                assert names["total"] == 3, names
+                assert names["total"] == len(KEPT), names
+                for name in KEPT + (UNDONE,):
+                    found = client.match(f'{{ p: Person; n: String = "{name}"; p -name-> n }}')
+                    assert found["total"] == (name != UNDONE), (name, found)
+                try:
+                    client.undo()
+                except RemoteError as error:
+                    assert "nothing to undo" in str(error), error
+                else:
+                    raise AssertionError("UNDO after a restart found history to undo")
                 stats = client.stats()["databases"]["people"]
                 assert stats["recoveries"] == 1, stats
-                print("every acked commit survived the kill — durability holds")
+                print("every acked commit survived the kill, the undone one stayed undone")
         finally:
             server.terminate()
             server.wait(timeout=10)

@@ -309,9 +309,6 @@ def _cmd_shell(args: argparse.Namespace) -> int:
             result = session.update(source)
         except _GoodError as error:
             print(f"ERROR: {error}")
-            # the failed update pushed an undo frame; roll it back
-            if session.undo_depth:
-                session.undo()
             continue
         for report in result.reports:
             print(report.summary())

@@ -70,7 +70,7 @@ class EngineMethodRunner:
         scheme even then).
         """
         if atomic:
-            return atomic_run(self.engine, operations, self.apply)
+            return atomic_run(self.engine, operations, self.apply)[0]
         reports: List[OperationReport] = []
         for index, operation in enumerate(operations):
             _faults.before_operation(operation, index)

@@ -18,13 +18,16 @@ database partially transformed.  A failure rolls the instance (and its
 scheme) back to the exact pre-run state via :mod:`repro.txn` and
 re-raises with a :class:`~repro.txn.transaction.FailureReport` attached
 to the exception; ``atomic=False`` is the escape hatch preserving the
-historical partial-mutation-on-error behavior.
+historical partial-mutation-on-error behavior.  An atomic run's result
+carries its committed journal (:attr:`ProgramResult.journal`): the
+served write path logs it as the redo record, and update mode keeps it
+as the undo frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.instance import Instance
 from repro.core.methods import ExecutionContext, Method, MethodCall, MethodRegistry
@@ -35,10 +38,15 @@ from repro.txn.transaction import atomic_run
 
 @dataclass
 class ProgramResult:
-    """The outcome of running a program."""
+    """The outcome of running a program.
+
+    ``journal`` is the committed undo journal of an atomic run
+    (:mod:`repro.txn.journal`), ``None`` for ``atomic=False``.
+    """
 
     instance: Instance
     reports: Tuple[OperationReport, ...]
+    journal: Any = None
 
     def summary(self) -> str:
         """Multi-line, one report summary per executed operation."""
@@ -104,12 +112,12 @@ class Program:
         else:
             working = instance.copy(scheme=instance.scheme.copy())
         if atomic:
-            reports = atomic_run(
+            reports, journal = atomic_run(
                 working,
                 self.operations,
                 lambda operation: operation.apply(working, context),
             )
-            return ProgramResult(working, tuple(reports))
+            return ProgramResult(working, tuple(reports), journal)
         reports: List[OperationReport] = []
         for index, operation in enumerate(self.operations):
             _faults.before_operation(operation, index)

@@ -519,8 +519,12 @@ class GraphStore:
         self._before_write()
         if node_id is None:
             node_id = self._next_id
+            if node_id >= _ID_RANGE[1]:
+                raise GraphStoreError(f"node id counter exhausted at {node_id}")
             self._next_id += 1
         else:
+            if not _ID_RANGE[0] <= node_id < _ID_RANGE[1]:
+                raise GraphStoreError(f"node id {node_id} is outside [-2**63, 2**63 - 2]")
             if self._id_map.get(node_id) >= 0:
                 raise GraphStoreError(f"node id {node_id} already exists")
             self._next_id = max(self._next_id, node_id + 1)
@@ -1044,7 +1048,8 @@ class GraphStore:
         anything is interned or built.  A violation raises
         :class:`~repro.core.errors.SerializationError` naming the column
         and position: labels that are not distinct strings, node ids
-        that are not distinct 64-bit integers, label or print indexes
+        that are not distinct integers in ``[-2**63, 2**63 - 2]``, a
+        ``next_id`` outside ``[-2**63, 2**63 - 1]``, label or print indexes
         out of range or repeated, unhashable print values, and edge
         endpoints that name no node.  GOOD's instance constraints are
         :meth:`repro.core.instance.Instance.validate`'s job.
@@ -1057,8 +1062,10 @@ class GraphStore:
         node_labels = columns["node_labels"]
         next_id = columns.get("next_id", 0)
         local_of = _check_node_columns(labels, node_ids, node_labels)
-        if _first_bad_cell([next_id], _ID_RANGE) >= 0:
-            raise SerializationError(f"'next_id' must be a 64-bit integer, got {next_id!r}")
+        if _first_bad_cell([next_id], (_ID_RANGE[0], _ID_RANGE[1] + 1)) >= 0:
+            raise SerializationError(
+                f"'next_id' must be an integer in [-2**63, 2**63 - 1], got {next_id!r}"
+            )
         prints = _check_prints(columns["prints"], len(node_ids))
         edges = _check_edges(columns["edges"], labels, local_of)
 
@@ -1132,8 +1139,9 @@ class GraphStore:
 # column checks for GraphStore.from_columns
 # ----------------------------------------------------------------------
 
-#: Node ids live in ``array('q')`` columns.
-_ID_RANGE = (-(2**63), 2**63)
+#: Node ids live in ``array('q')`` columns.  The top int64 value is
+#: not an id, so ``id + 1`` (the counter after it) is always an int64.
+_ID_RANGE = (-(2**63), 2**63 - 1)
 
 
 def _first_bad_cell(values: List[Any], bounds: Tuple[int, int]) -> int:
@@ -1163,7 +1171,8 @@ def _check_node_columns(labels: List[Any], node_ids: List[Any], node_labels: Lis
     position = _first_bad_cell(node_ids, _ID_RANGE)
     if position >= 0:
         raise SerializationError(
-            f"node_ids[{position}]: node id must be a 64-bit integer, got {node_ids[position]!r}"
+            f"node_ids[{position}]: node id must be a 64-bit integer, got "
+            f"{node_ids[position]!r} (ids run from -2**63 to 2**63 - 2)"
         )
     position = _first_bad_cell(node_labels, (0, len(labels)))
     if position >= 0:

@@ -12,7 +12,8 @@ one object base:
 
 * ``query(program)``    — run on a copy, return the result (the
   database is untouched);
-* ``update(program)``   — run destructively, with an undo stack;
+* ``update(program)``   — run destructively as one transaction, keeping
+  its undo journal so ``undo()`` can replay it backwards;
 * ``extract(pattern)``  — the subinstance induced by a pattern's
   matchings ("visualizing parts of a complex instance");
 * ``browse(node, …)``   — the neighbourhood subinstance around an

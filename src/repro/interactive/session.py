@@ -1,9 +1,17 @@
-"""The interactive session: query/update modes, browsing, undo."""
+"""The interactive session: query/update modes, browsing, undo.
+
+Update mode runs a program in place as one transaction
+(:mod:`repro.txn`) and keeps the run's committed undo journal as an undo
+frame: O(changes), never a copy of the instance.  :meth:`Session.undo`
+reverse-replays the newest frame inside a transaction of its own and
+returns that transaction's journal, so a server can log the UNDO as an
+ordinary commit.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.errors import GoodError
 from repro.core.instance import Instance
@@ -12,6 +20,7 @@ from repro.core.methods import Method, MethodRegistry
 from repro.core.operations import Operation
 from repro.core.pattern import NegatedPattern, Pattern
 from repro.core.program import Program, ProgramResult
+from repro.txn.transaction import Transaction
 from repro.viz.ascii import summarize_instance
 from repro.viz.dot import instance_to_dot
 
@@ -55,6 +64,10 @@ class Subinstance:
 class Session:
     """One object base, manipulated through interpretation modes."""
 
+    #: the store's mutation counter after the newest update or undo:
+    #: the undo frames replay onto that state and nothing else
+    _generation: Optional[int] = None
+
     def __init__(
         self,
         instance: Instance,
@@ -64,7 +77,8 @@ class Session:
         self.instance = instance
         self.methods = MethodRegistry(methods or ())
         self.max_undo = max_undo
-        self._undo: List[Instance] = []
+        # committed journals of the last updates, oldest first
+        self._undo: List[Any] = []
 
     # ------------------------------------------------------------------
     # query / update modes
@@ -99,19 +113,52 @@ class Session:
     def update(self, program: Union[str, Program, Operation, Sequence[Operation]]) -> ProgramResult:
         """Run in update mode: the result "replaces the original".
 
-        The previous state is pushed on a bounded undo stack.
+        The run is atomic; its committed journal becomes the newest of
+        at most ``max_undo`` undo frames.  A failed run is rolled back
+        and pushes nothing.
         """
-        self._undo.append(self.instance.copy(scheme=self.instance.scheme.copy()))
+        start = self.instance.generation
+        try:
+            result = self._as_program(program).run(self.instance, in_place=True)
+        except BaseException:
+            if start == self._generation:
+                # the rollback restored the state the frames end at
+                self._generation = self.instance.generation
+            raise
+        if start != self._generation:
+            # the instance changed outside update(): older frames would
+            # replay onto a state they never saw
+            self._undo.clear()
+        self._undo.append(result.journal)
         if len(self._undo) > self.max_undo:
             self._undo.pop(0)
-        return self._as_program(program).run(self.instance, in_place=True)
+        self._generation = self.instance.generation
+        return result
 
-    def undo(self) -> Instance:
-        """Restore the state before the most recent update."""
+    def undo(self) -> Any:
+        """Restore the state before the most recent update.
+
+        Reverse-replays the newest frame inside a transaction of its own
+        and returns that transaction's committed journal.  Node ids the
+        undone update used are not handed out again.  Raises
+        :class:`SessionError` when there is nothing to undo, or when the
+        instance changed outside :meth:`update` since the frame was taken.
+        """
         if not self._undo:
             raise SessionError("nothing to undo")
-        self.instance = self._undo.pop()
-        return self.instance
+        frame = self._undo[-1]
+        if self.instance.generation != self._generation or frame.instance is not self.instance:
+            raise SessionError("the instance changed outside update() since the last update; cannot undo")
+        txn = Transaction(self.instance, name="undo")
+        try:
+            frame.revert()
+        except BaseException as error:
+            txn.rollback(error=error)
+            raise
+        journal = txn.commit()
+        self._undo.pop()
+        self._generation = self.instance.generation
+        return journal
 
     @property
     def undo_depth(self) -> int:

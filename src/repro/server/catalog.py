@@ -7,14 +7,19 @@ session layer never branches on the backend:
 
 * ``native`` — the in-memory graph :class:`~repro.core.instance.Instance`,
   wrapped in an :class:`~repro.interactive.Session` (which supplies
-  query/update modes, browsing and the undo stack);
+  query/update modes, browsing and the undo frames);
 * ``relational`` — :class:`~repro.storage.engine.RelationalEngine`
   (Section 5's embedded-SQL architecture);
 * ``tarski`` — :class:`~repro.tarski.engine.TarskiEngine` (the binary
   relation algebra substrate).
 
 All three are transactional targets (:mod:`repro.txn.snapshot`), so
-program runs are atomic on every backend.
+program runs are atomic on every backend.  Each write runs under exactly
+one :class:`~repro.txn.transaction.Transaction`; its committed journal
+rolls a failed run back, becomes the WAL commit record, and on native is
+kept as the undo frame.  ``UNDO`` is a write like any other: it
+reverse-replays the newest frame in a transaction of its own and logs
+that journal as an ordinary commit.
 
 :class:`Catalog` is the name -> database directory with create / drop /
 load / save.  It is deliberately synchronous and lock-free: the server
@@ -43,7 +48,7 @@ from repro.mvcc import SnapshotRegistry, capture_version
 from repro.server.protocol import register_error_code
 from repro.txn import guards
 from repro.txn.snapshot import summarize
-from repro.txn.transaction import Transaction
+from repro.txn.transaction import atomic_run
 from repro.wal import DataDirLockedError, WalError
 
 BACKENDS = ("native", "relational", "tarski")
@@ -124,12 +129,8 @@ class ServedDatabase:
 
     @property
     def target(self) -> Any:
-        """The transactional target holding the current state.
-
-        For the native backend this tracks ``session.instance`` — undo
-        rebinds the session to a previous copy, and a stale alias here
-        would silently serve the pre-undo state.
-        """
+        """The transactional target holding the current state
+        (``session.instance`` for the native backend)."""
         if self.session is not None:
             return self.session.instance
         return self._engine
@@ -167,51 +168,35 @@ class ServedDatabase:
         exception carries a ``failure_report``.
         """
         program = self._compile(source)
-        if self.durability is None:
-            reports = self._run_parsed(program)
-            self.publish_version()
-            return reports
-        return self._run_durable(program)
-
-    def _run_parsed(self, program: Program) -> List[Any]:
         if self.session is not None:
-            try:
-                return list(self.session.update(program).reports)
-            except Exception:
-                # the failed atomic run already rolled the instance
-                # back; drop the undo frame pushed for it
-                if self.session.undo_depth:
-                    self.session.undo()
-                raise
-        return list(self.target.run(program.operations, atomic=True))
+            result = self.session.update(program)
+            reports, journal = list(result.reports), result.journal
+        else:
+            reports, journal = atomic_run(self._engine, program.operations, self._engine.apply)
+        self._commit(journal)
+        return reports
 
-    def _run_durable(self, program: Program) -> List[Any]:
-        """Run with write-ahead logging: nothing is acknowledged until
-        the commit record is on disk (per the writer's fsync policy).
+    def _commit(self, journal: Any) -> None:
+        """Make a committed write durable, then visible.
 
-        An outer journal observes the whole run; on success its entries
-        are read *forwards* (:mod:`repro.wal.redo`) into the commit
-        record.  If the WAL append fails, the outer journal rolls the
-        memory state back so it never diverges from disk, and the
-        writer stays poisoned — exactly as if the process had died.
+        With a data directory nothing is acknowledged until the commit
+        record read *forwards* from ``journal`` (:mod:`repro.wal.redo`)
+        is on disk, per the writer's fsync policy.  If the append fails,
+        ``journal`` is reverted so memory never diverges from disk, and
+        the writer stays poisoned — exactly as if the process had died.
+        A reverted native write leaves the session's undo frames behind
+        a state they do not end at, so :meth:`Session.undo
+        <repro.interactive.Session.undo>` refuses them.
         """
-        txn = Transaction(self.target, name=f"wal:{self.name}")
+        if self.durability is None:
+            self.publish_version()
+            return
         try:
-            reports = self._run_parsed(program)
-        except BaseException:
-            # the inner atomic run already restored the state, so the
-            # outer journal's entries are net-zero: discard them
-            txn.commit()
-            raise
-        try:
-            ticket = self.durability.commit_journal(self, txn._journal)
+            ticket = self.durability.commit_journal(self, journal)
         except BaseException as error:
-            txn.rollback()
-            if self.session is not None and self.session.undo_depth:
-                self.session.undo()
+            journal.revert()
             self.durability.poison(error)
             raise
-        txn.commit()
         self._pending_ticket = ticket
         self.last_commit_lsn = self.durability.lsn
         # publish before a possible checkpoint so the checkpoint pins
@@ -224,7 +209,6 @@ class ServedDatabase:
                 self._pending_checkpoint = job
             else:
                 job.stream()
-        return reports
 
     def take_ticket(self) -> Any:
         """Claim the durability ticket of the last run (or ``None``).
@@ -318,23 +302,18 @@ class ServedDatabase:
         return self._browse_session().browse(node, hops=hops)
 
     def undo(self) -> Tuple[int, int]:
-        """Native backend only: pop the most recent update."""
+        """Native backend only: reverse the most recent update.
+
+        The reversal is a commit of its own: its journal is logged,
+        published and counted toward auto-checkpoints exactly like a
+        ``RUN``, so replicas and recovery apply it incrementally.
+        """
         if self.session is None:
             raise CatalogError(
                 f"database {self.name!r} uses the {self.backend!r} backend; "
                 "UNDO is only available on the native backend"
             )
-        self.session.undo()
-        self.publish_version()
-        if self.durability is not None:
-            # no incremental redo can describe an instance rebind, so
-            # UNDO logs the complete post-undo state as a reset record
-            try:
-                self._pending_ticket = self.durability.reset_record(self)
-            except BaseException as error:
-                self.durability.poison(error)
-                raise
-            self.last_commit_lsn = self.durability.lsn
+        self._commit(self.session.undo())
         return self.counts()
 
     # ------------------------------------------------------------------

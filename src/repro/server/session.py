@@ -358,11 +358,14 @@ class ServerSession:
 
     @_verb("UNDO", "write")
     def _undo(self, database: ServedDatabase, args: Dict[str, Any]) -> Dict[str, Any]:
+        # an UNDO is a commit: it may trip the auto-checkpoint like RUN
+        database._defer_checkpoints = True
         nodes, edges = database.undo()
         payload: Dict[str, Any] = {"nodes": nodes, "edges": edges}
         if database.durability is not None:
             payload["lsn"] = database.last_commit_lsn
             payload["_durability"] = database.take_ticket()
+            payload["_checkpoint_job"] = database.take_checkpoint_job()
             payload["_charges"] = database.durability.drain_charges()
         return payload
 

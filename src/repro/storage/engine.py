@@ -198,7 +198,7 @@ class RelationalEngine:
         partial-mutation-on-error behavior.
         """
         if atomic:
-            return atomic_run(self, operations, self.apply)
+            return atomic_run(self, operations, self.apply)[0]
         reports: List[OperationReport] = []
         for index, operation in enumerate(operations):
             _faults.before_operation(operation, index)

@@ -407,7 +407,7 @@ class TarskiEngine:
         partial-mutation-on-error behavior.
         """
         if atomic:
-            return atomic_run(self, operations, self.apply)
+            return atomic_run(self, operations, self.apply)[0]
         reports: List[OperationReport] = []
         for index, operation in enumerate(operations):
             _faults.before_operation(operation, index)

@@ -18,7 +18,12 @@ An *undo journal* replaces all three with O(changes) bookkeeping:
   id-counter value — also O(1);
 * **rollback** replays the entries *after* a watermark in reverse,
   through the target's normal mutators where the target has them, so
-  indexes, cached views and any *outer* journals observe the replay.
+  indexes, cached views and any *outer* journals observe the replay;
+* **revert** replays a *committed* journal in reverse.  It is how the
+  served path takes back a write whose WAL append failed, and how
+  ``UNDO`` reverses the newest kept update: the UNDO runs in a fresh
+  transaction, whose journal records the replay like any other change
+  and becomes an ordinary commit record.
 
 Targets take part through two duck-typed hooks next to the snapshot
 protocol: ``begin_journal() -> journal`` and
@@ -77,7 +82,10 @@ class SchemeRecorder:
     """
 
     def __init__(self, journal: "UndoJournal") -> None:
-        self._journal = journal
+        # the entry list, not the journal: no reference cycle, so a
+        # committed journal (an undo frame) is freed by refcounting
+        # the moment it is dropped, not by a later full collection
+        self._entries = journal.entries
         self._listening: List[Any] = []
         self._snapshotted: set = set()
         self._suspended = False
@@ -94,7 +102,7 @@ class SchemeRecorder:
         if self._suspended or id(scheme) in self._snapshotted:
             return
         self._snapshotted.add(id(scheme))
-        self._journal.entries.append(("scheme", scheme, scheme.copy()))
+        self._entries.append(("scheme", scheme, scheme.copy()))
 
     def new_segment(self) -> None:
         """Forget per-segment snapshot dedup (at marks and rollbacks)."""
@@ -194,6 +202,22 @@ class UndoJournal:
         self._restore_extra(extra)
         self.recorder.new_segment()
         return replayed
+
+    def revert(self) -> None:
+        """Reverse-replay every entry of this committed journal.
+
+        The journal is closed, so it records nothing itself: the replay
+        reaches only the journals attached now (the transaction an UNDO
+        runs in).  The id counter stays where it is — an undone write
+        does not hand its ids out again (:func:`repro.wal.redo.set_next_id`
+        never moves a counter back either).  The caller must know the
+        target still holds the state this journal ended at.
+        """
+        if not self.closed:
+            raise TransactionError("only a committed journal can be reverted")
+        self._check_target()
+        for entry in reversed(self.entries):
+            self._replay(entry)
 
     def close(self) -> None:
         """Stop recording; detach from the target (commit/rollback end)."""
@@ -315,6 +339,11 @@ class InstanceJournal(UndoJournal):
         elif tag == "scheme":
             entry[1].restore_from(entry[2])
         elif tag == "bind":
+            # other journals (an UNDO's transaction) must record the
+            # rebinding like restrict_to's, so they can replay it back
+            for journal in self.instance._journals:
+                if journal is not self:
+                    journal.note_rebind(self.instance._scheme, entry[1])
             self.instance._scheme = entry[1]
         else:  # pragma: no cover - defensive
             raise TransactionError(f"unknown journal entry {tag!r}")

@@ -25,7 +25,10 @@ targets have them).
 :func:`atomic_run` is the shared all-or-nothing driver the program and
 engine runners build on: it applies a sequence of operations inside a
 transaction, reports progress to the fault-injection hooks, and on any
-failure rolls back, certifies the restored state, and re-raises.
+failure rolls back, certifies the restored state, and re-raises.  On
+success it hands back the committed journal, which a served write logs
+as its redo record and keeps as its undo frame
+(:meth:`~repro.txn.journal.UndoJournal.revert`).
 """
 
 from __future__ import annotations
@@ -125,14 +128,20 @@ class Transaction:
         """Whether the transaction can still commit or roll back."""
         return self.status == ACTIVE
 
-    def commit(self) -> None:
-        """Keep all changes; the transaction (and its savepoints) end."""
+    def commit(self) -> Any:
+        """Keep all changes; the transaction (and its savepoints) end.
+
+        Returns the closed journal: its entries still describe every
+        change, for the redo record and for a later revert.
+        """
         self._require_active("commit")
-        _charge(txn_journal_entries=self._journal.entries_recorded)
-        self._journal.close()
+        journal = self._journal
+        _charge(txn_journal_entries=journal.entries_recorded)
+        journal.close()
         self._journal = None
         self.status = COMMITTED
         self._savepoints.clear()
+        return journal
 
     def rollback(
         self,
@@ -259,7 +268,7 @@ def atomic_run(
     operations: Sequence[Any],
     apply: Callable[[Any], Any],
     name: Optional[str] = None,
-) -> List[Any]:
+) -> Tuple[List[Any], Any]:
     """Apply ``operations`` all-or-nothing against ``target``.
 
     Shared driver for :meth:`Program.run <repro.core.program.Program.run>`
@@ -268,7 +277,7 @@ def atomic_run(
     operation is announced to the fault-injection hooks and applied via
     ``apply``; any exception rolls the target back to the pre-run state
     and re-raises with ``error.failure_report`` attached.  Returns the
-    per-operation reports on success.
+    per-operation reports and the committed journal on success.
     """
     txn = Transaction(target, name=name)
     reports: List[Any] = []
@@ -294,5 +303,4 @@ def atomic_run(
         except AttributeError:  # pragma: no cover - exotic exceptions
             pass
         raise
-    txn.commit()
-    return reports
+    return reports, txn.commit()

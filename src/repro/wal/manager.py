@@ -41,7 +41,6 @@ import shutil
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.io.serialize import instance_to_columnar_json
 from repro.wal.checkpoint import (
     checkpoint_instance,
     checkpoint_name,
@@ -104,7 +103,12 @@ class DatabaseDurability:
     # commit-time records
     # ------------------------------------------------------------------
     def commit_journal(self, database: Any, journal: Any) -> CommitTicket:
-        """Append one commit record derived from ``journal`` (redo dual)."""
+        """Append one commit record derived from ``journal`` (redo dual).
+
+        Every write is logged this way, ``UNDO`` included: its journal
+        records the reverse replay like any other change.  Nothing
+        writes ``reset`` records any more; recovery still reads them.
+        """
         from repro.wal.redo import extract_redo, get_next_id
 
         redo = extract_redo(database, journal)
@@ -114,22 +118,6 @@ class DatabaseDurability:
                 "kind": "commit",
                 "lsn": self.lsn,
                 "redo": redo,
-                "next_id": get_next_id(database),
-            }
-        )
-
-    def reset_record(self, database: Any) -> CommitTicket:
-        """Append a full-state record (``UNDO`` rebinds the instance,
-        which no incremental redo can describe)."""
-        from repro.wal.redo import get_next_id
-
-        doc = instance_to_columnar_json(database.to_instance())
-        self.lsn += 1
-        return self.writer.append(
-            {
-                "kind": "reset",
-                "lsn": self.lsn,
-                "instance": doc,
                 "next_id": get_next_id(database),
             }
         )

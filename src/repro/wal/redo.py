@@ -21,6 +21,13 @@ Scheme changes ride along as a single ``scheme`` op holding the
 post-commit scheme document.  Every commit record also carries the
 backend's id counter so recovered stores keep numbering where the
 crashed process stopped.
+
+``UNDO`` is logged the same way: its transaction's journal records the
+reverse replay, so its redo ops are the inverse of the undone commit's.
+Releases before that logged an UNDO as a ``reset`` record holding the
+whole instance; :func:`apply_reset` still reads those (and replica
+resyncs still reinstall a checkpoint through :func:`replace_state`),
+but nothing writes them.
 """
 
 from __future__ import annotations
@@ -205,7 +212,10 @@ def apply_commit(database: Any, record: Dict[str, Any]) -> None:
 
 
 def apply_reset(database: Any, record: Dict[str, Any]) -> None:
-    """Reinstall the full instance a ``reset`` record carries (UNDO)."""
+    """Reinstall the full instance a ``reset`` record carries.
+
+    Older releases logged each ``UNDO`` this way; the record is read,
+    never written."""
     instance = instance_from_json(record["instance"])
     replace_state(database, instance)
     next_id = record.get("next_id")
@@ -243,11 +253,18 @@ def _apply_op(database: Any, op: Dict[str, Any], interns: Dict[str, str]) -> Non
 
 
 def _op_label(op: Dict[str, Any], interns: Dict[str, str]) -> str:
-    """Decode an op's label: lid via the record's intern map, with the
-    legacy ``label`` string key accepted for pre-columnar WALs."""
-    label = op.get("label")
-    if label is not None:
-        return label
+    """Decode an op's label id via the record's intern map.
+
+    Pre-columnar releases wrote the label as a ``label`` string key;
+    such ops are refused, with the migration steps.
+    """
+    if "lid" not in op:
+        raise WalFormatError(
+            f"native redo op {op.get('op')!r} carries no label id (a pre-columnar "
+            "WAL with string 'label' keys, which this release cannot read); to "
+            "migrate, run the previous release on the data directory, CHECKPOINT "
+            "each database, then upgrade"
+        )
     lid = op["lid"]
     try:
         return interns[str(lid)]

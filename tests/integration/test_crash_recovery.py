@@ -32,6 +32,7 @@ import pytest
 from repro.core import Scheme
 from repro.io.serialize import scheme_to_json
 from repro.server import BackgroundServer, GoodClient, GoodServer
+from repro.server.client import RemoteError
 from repro.server.protocol import ProtocolError
 from repro.txn import faults
 from repro.wal import DataDirLockedError, WalFormatError, recover_catalog
@@ -98,6 +99,16 @@ def recovered_counts(root, name):
         catalog.close_durability()
 
 
+def recovered_names(root, name):
+    """The sorted print values of the recovered database's strings."""
+    catalog, _ = recover_catalog(root)
+    try:
+        instance = catalog.get(name).to_instance()
+        return sorted(instance.print_of(node) for node in instance.nodes_with_label("String"))
+    finally:
+        catalog.close_durability()
+
+
 class TestCrashSiteSweep:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("site", sorted(CRASH_SITES))
@@ -132,6 +143,35 @@ class TestCrashSiteSweep:
         else:
             assert counts == acked_counts, (site, backend, counts)
             assert entry["torn_records"] == (1 if site == "wal.append.torn" else 0)
+
+    @pytest.mark.parametrize("site", sorted(CRASH_SITES))
+    def test_undo_in_history_by_site(self, tmp_path, site):
+        """UNDO is a commit: an acknowledged UNDO survives the crash,
+        and a crash inside an UNDO keeps or drops it by RUN's rule."""
+        root = tmp_path / "data"
+        served = Served(root)
+        try:
+            with served.client() as client:
+                client.create("g", backend="native", scheme=scheme_doc())
+                client.use("g")
+                add_person(client, "kept")
+                add_person(client, "undone")
+                client.undo()
+                add_person(client, "last")
+            plan = faults.arm_crash(site)
+            try:
+                with served.client() as client:
+                    client.use("g")
+                    with pytest.raises((ProtocolError, Exception)):
+                        client.undo()  # would take "last" back
+                assert plan.fired, f"crash point {site} never fired"
+            finally:
+                faults.disarm_crash(plan)
+        finally:
+            served.stop()
+
+        expected = ["kept"] if CRASH_SITES[site] else ["kept", "last"]
+        assert recovered_names(root, "g") == expected, site
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_aborted_run_is_never_resurrected(self, tmp_path, backend):
@@ -396,7 +436,23 @@ class TestUndoDurability:
                 state = (undone["nodes"], undone["edges"])
         counts, report = recovered_counts(root, "g")
         assert counts == state
-        assert report.databases[0]["resets_replayed"] == 1
+        # the UNDO is an ordinary commit record, not a reset
+        assert report.databases[0]["resets_replayed"] == 0
+        assert report.databases[0]["commits_replayed"] == 3
+
+    def test_undo_after_restart_has_nothing_to_undo(self, tmp_path):
+        root = tmp_path / "data"
+        with Served(root) as served:
+            with served.client() as client:
+                client.create("g", backend="native", scheme=scheme_doc())
+                client.use("g")
+                add_person(client, "kept")
+        with Served(root) as served:
+            with served.client() as client:
+                client.use("g")
+                with pytest.raises(RemoteError, match="nothing to undo"):
+                    client.undo()
+        assert recovered_names(root, "g") == ["kept"]
 
 
 class TestDataDirLock:

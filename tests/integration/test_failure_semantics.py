@@ -86,13 +86,17 @@ def test_failure_inside_method_body_propagates(tiny_scheme, tiny_instance):
 
 def test_session_rolls_back_failed_updates(tiny_scheme, tiny_instance):
     session = Session(tiny_instance)
+    pattern, person = person_pattern(tiny_scheme)
+    session.update(NodeAddition(pattern, "Tag", [("of", person)]))
     before = snapshot(session.instance)
     with pytest.raises(EdgeConflictError):
         session.update(conflicting_edge_addition(tiny_scheme))
-    # the undo frame from the failed update is still there; popping it
-    # restores the pre-update state
-    session.undo()
+    # the atomic run rolled back, and a failed update keeps no frame:
+    # UNDO still reaches the last successful update
+    assert session.undo_depth == 1
     assert snapshot(session.instance) == before
+    session.undo()
+    assert session.instance.nodes_with_label("Tag") == frozenset()
 
 
 def test_later_operations_see_earlier_failures_stop_the_program(tiny_scheme, tiny_instance):

@@ -473,3 +473,37 @@ def test_forked_dirty_column_keeps_snapshot_and_shares_untouched_sets():
     assert store.in_neighbours(nodes[199], "e") == frozenset({touched})
     assert store.out_neighbours(untouched, "e") is untouched_set
     assert snapshot.out_neighbours(untouched, "e") is untouched_set
+
+
+def test_id_counter_stops_where_its_successor_still_fits_int64():
+    from repro.core.errors import SerializationError
+
+    top = 2**63 - 2  # the largest node id
+    store = GraphStore()
+    store.add_node("A", node_id=top)
+    assert store.next_id == 2**63 - 1
+    # refused before any column changes: the counter is spent, and
+    # neither 2**63 - 1 nor anything past int64 is an id
+    with pytest.raises(GraphStoreError):
+        store.add_node("B")
+    for bad in (2**63 - 1, 2**63, -(2**63) - 1):
+        with pytest.raises(GraphStoreError):
+            store.add_node("B", node_id=bad)
+    assert store.add_node("C", node_id=5) == 5
+    assert len(store._slot_label) == len(store._slot_id) == store.node_count == 2
+    assert store.next_id == 2**63 - 1
+
+    columns = store.snapshot_columns()
+    back = GraphStore.from_columns(columns)
+    assert sorted(back.nodes()) == [5, top]
+    assert back.label_of(top) == "A" and back.label_of(5) == "C"
+    assert back.next_id == 2**63 - 1
+
+    position = columns["node_ids"].index(top)
+    columns["node_ids"][position] = 2**63 - 1
+    with pytest.raises(SerializationError, match=rf"node_ids\[{position}\]"):
+        GraphStore.from_columns(columns)
+    columns["node_ids"][position] = top
+    columns["next_id"] = 2**63
+    with pytest.raises(SerializationError, match="'next_id'"):
+        GraphStore.from_columns(columns)

@@ -45,6 +45,62 @@ def test_undo_stack_is_bounded(tiny_scheme, tiny_instance):
     assert session.undo_depth == 2
 
 
+def test_undo_replays_the_journal_and_restores_the_scheme(tiny_scheme, tiny_instance):
+    session = Session(tiny_instance)
+    assert not tiny_scheme.has_node_label("Tag")
+    result = session.update(tag_op(tiny_scheme))
+    assert session.instance.scheme.has_node_label("Tag")
+    journal = session.undo()
+    assert not session.instance.scheme.has_node_label("Tag")
+    # the UNDO is a transaction of its own: its journal holds the
+    # inverse of every store change the update made
+    undone = [entry[0] for entry in journal.entries if entry[0] != "scheme"]
+    done = [entry[0] for entry in result.journal.entries if entry[0] != "scheme"]
+    assert sorted(undone) == sorted(
+        {"add_node": "remove_node", "add_edge": "remove_edge"}[tag] for tag in done
+    )
+
+
+def test_undo_does_not_hand_undone_ids_out_again(tiny_scheme, tiny_instance):
+    session = Session(tiny_instance)
+    session.update(tag_op(tiny_scheme))
+    spent = session.instance.store.next_id
+    session.undo()
+    assert session.instance.store.next_id == spent
+    session.update(tag_op(tiny_scheme))
+    assert min(session.instance.nodes_with_label("Tag")) >= spent
+
+
+def test_undo_refuses_a_state_changed_outside_update(tiny_scheme, tiny_instance):
+    session = Session(tiny_instance)
+    session.update(tag_op(tiny_scheme))
+    session.instance.add_object("Person")
+    with pytest.raises(SessionError, match="outside update"):
+        session.undo()
+    assert session.undo_depth == 1
+    # a later update starts a fresh history: the older frame is gone
+    session.update(tag_op(tiny_scheme))
+    assert session.undo_depth == 1
+    session.undo()
+    with pytest.raises(SessionError, match="nothing to undo"):
+        session.undo()
+
+
+def test_a_frame_is_freed_when_it_falls_off_the_stack(tiny_scheme, tiny_instance):
+    import gc
+    import weakref
+
+    session = Session(tiny_instance, max_undo=1)
+    first = weakref.ref(session.update(tag_op(tiny_scheme)).journal)
+    gc.disable()
+    try:
+        session.update(tag_op(tiny_scheme))
+        # refcounting alone frees it: a committed journal is no cycle
+        assert first() is None
+    finally:
+        gc.enable()
+
+
 def test_query_accepts_programs_and_sequences(tiny_scheme, tiny_instance):
     session = Session(tiny_instance)
     as_program = session.query(Program([tag_op(tiny_scheme)]))

@@ -435,24 +435,35 @@ class TestRecovery:
             ticket.wait(5.0)
 
     def test_undo_reset_record_recovers(self, tmp_path):
+        # nothing writes ``reset`` records any more (UNDO is a commit),
+        # but a segment from an older release may hold one: append a
+        # hand-built record and recover through apply_reset
+        from repro.io.serialize import instance_to_columnar_json
+        from repro.wal.redo import get_next_id
+
         root = tmp_path / "data"
         catalog, _ = recover_catalog(root)
         catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
         database = catalog.get("g")
         self._commit(database, 'addnode Person() {}')
+        image = instance_to_columnar_json(database.to_instance())
+        after_reset = database.counts()
         self._commit(database, 'addnode Person(name -> n) { n: String = "ann" }')
-        before = database.counts()
-        database.undo()
-        ticket = database.take_ticket()
-        ticket.wait(5.0)
-        after_undo = database.counts()
-        assert after_undo != before
+        assert database.counts() != after_reset
+        next_id = get_next_id(database)
+        lsn = database.durability.lsn
         catalog.close_durability()
+        record = {"kind": "reset", "lsn": lsn + 1, "instance": image, "next_id": next_id}
+        with open(root / "g" / segment_name(0), "ab") as fp:
+            fp.write(encode_record(record))
 
         recovered, report = recover_catalog(root)
         try:
-            assert recovered.get("g").counts() == after_undo
+            database = recovered.get("g")
+            assert database.counts() == after_reset
+            assert get_next_id(database) == next_id
             assert report.databases[0]["resets_replayed"] == 1
+            assert report.databases[0]["commits_replayed"] == 2
         finally:
             recovered.close_durability()
 
@@ -492,6 +503,163 @@ class TestRecovery:
             assert report.torn_records == 1
             assert "torn" in report.summary()
             assert recovered.get("g").counts() == (1, 0)
+        finally:
+            recovered.close_durability()
+
+
+# ----------------------------------------------------------------------
+# UNDO is a commit: one journal per write, logged incrementally
+# ----------------------------------------------------------------------
+
+ADD_ANN = 'addnode Person(name -> n) { n: String = "ann" }'
+
+
+class TestUndoIsACommit:
+    def _durable(self, root):
+        catalog, _ = recover_catalog(root)
+        catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
+        return catalog, catalog.get("g")
+
+    @staticmethod
+    def _wait(database):
+        ticket = database.take_ticket()
+        if ticket is not None:
+            ticket.wait(5.0)
+
+    def _grow(self, database, verb):
+        """Bytes the segment grew by while ``verb`` committed."""
+        before = database.durability.writer.written_offset
+        verb()
+        self._wait(database)
+        return database.durability.writer.written_offset - before
+
+    def test_durable_run_charges_one_journal(self, tmp_path):
+        from repro.core import counters
+
+        catalog, database = self._durable(tmp_path / "data")
+        try:
+            with counters.collect() as tally:
+                database.run_program(ADD_ANN)
+                self._wait(database)
+            # one scheme snapshot, two nodes, one edge: no nested journal
+            assert tally.txn_journal_entries == 4
+        finally:
+            catalog.close_durability()
+
+    def test_undo_record_is_a_small_multiple_of_the_commit(self, tmp_path):
+        catalog, database = self._durable(tmp_path / "data")
+        try:
+            for index in range(100):
+                database.run_program(f'addnode Person(name -> n) {{ n: String = "p{index}" }}')
+                self._wait(database)
+            commit = self._grow(database, lambda: database.run_program(ADD_ANN))
+            undo = self._grow(database, database.undo)
+            assert 0 < undo <= 4 * commit, (undo, commit)
+        finally:
+            catalog.close_durability()
+
+    def test_undo_keeps_next_id_on_owner_and_recovered_image(self, tmp_path):
+        from repro.wal.redo import get_next_id
+
+        root = tmp_path / "data"
+        catalog, database = self._durable(root)
+        database.run_program(ADD_ANN)
+        self._wait(database)
+        spent = get_next_id(database)
+        database.undo()
+        self._wait(database)
+        assert database.counts() == (0, 0)
+        assert get_next_id(database) == spent
+        catalog.close_durability()
+        recovered, _ = recover_catalog(root)
+        try:
+            assert get_next_id(recovered.get("g")) == spent
+        finally:
+            recovered.close_durability()
+
+    def test_undo_of_a_scheme_change_restores_it_everywhere(self, tmp_path, monkeypatch):
+        """Owner, replica and recovered image agree after UNDO of a RUN
+        that added a label, and the replica applies the UNDO record
+        incrementally: ``replace_state`` is never called."""
+        import repro.cluster.replica as replica
+        from repro.server.catalog import Catalog
+
+        root = tmp_path / "data"
+        catalog, database = self._durable(root)
+        database.run_program("addnode Person() {}")
+        self._wait(database)
+        tailer = replica.WalTailer(Catalog(), [root])
+        tailer.poll_once()  # first sight of "g": built from its checkpoint
+        database.run_program("addnode Tag(of -> p) { p: Person }")
+        self._wait(database)
+        tailer.poll_once()
+        assert tailer.catalog.get("g").scheme.has_node_label("Tag")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("replace_state called while applying UNDO")
+
+        monkeypatch.setattr(replica, "replace_state", refuse)
+        database.undo()
+        self._wait(database)
+        assert tailer.poll_once() == 1 and tailer.errors == 0
+        follower = tailer.catalog.get("g")
+        catalog.close_durability()
+        recovered, report = recover_catalog(root)
+        try:
+            image = recovered.get("g")
+            assert report.databases[0]["resets_replayed"] == 0
+            for copy in (database, follower, image):
+                assert not copy.scheme.has_node_label("Tag")
+                assert copy.scheme.has_node_label("Person")
+                assert copy.counts() == (1, 0)
+        finally:
+            recovered.close_durability()
+
+    def test_undo_of_a_method_call_restores_the_scheme_binding(self, tmp_path):
+        """A call rebinds the instance to original scheme ∪ interface;
+        the UNDO's own journal must record rebinding back, so its
+        record carries the scheme the owner ends with."""
+        root = tmp_path / "data"
+        catalog, database = self._durable(root)
+        database.run_program("addnode Person() {}")
+        self._wait(database)
+        database.run_program(
+            "method Mark() on Person keeps Marked -of-> Person {\n"
+            "    addnode Marked(of -> self) { self: Person; }\n"
+            "}\n"
+            "call Mark() on p { p: Person; }"
+        )
+        self._wait(database)
+        assert database.scheme.has_node_label("Marked")
+        database.undo()
+        self._wait(database)
+        assert not database.scheme.has_node_label("Marked")
+        catalog.close_durability()
+        recovered, _ = recover_catalog(root)
+        try:
+            image = recovered.get("g")
+            assert not image.scheme.has_node_label("Marked")
+            assert image.counts() == (1, 0)
+        finally:
+            recovered.close_durability()
+
+    def test_failed_undo_append_reverts_the_undo(self, tmp_path):
+        root = tmp_path / "data"
+        catalog, database = self._durable(root)
+        database.run_program(ADD_ANN)
+        self._wait(database)
+        acked = database.counts()
+        with faults.crash("wal.append.before"):
+            with pytest.raises(faults.CrashError):
+                database.undo()
+        # memory matches disk: the reverse replay was itself reversed
+        assert database.counts() == acked
+        with pytest.raises(WalError):
+            database.run_program(ADD_ANN)  # the writer stays poisoned
+        catalog.close_durability()
+        recovered, _ = recover_catalog(root)
+        try:
+            assert recovered.get("g").counts() == acked
         finally:
             recovered.close_durability()
 
@@ -610,6 +778,18 @@ class TestRetiredBinaryFormat:
             DataDirectory(tmp_path / "data", wal_format="text")
         with pytest.raises(TypeError):
             recover_catalog(tmp_path / "data", wal_format="text")
+
+
+class TestRetiredStringLabels:
+    def test_string_keyed_redo_ops_are_refused(self):
+        from repro.server.catalog import Catalog
+        from repro.wal.redo import apply_commit
+
+        database = Catalog().create("g", scheme_data=scheme_to_json(small_scheme()))
+        legacy = {"kind": "commit", "lsn": 1, "redo": [{"op": "add_node", "id": 0, "label": "Person"}]}
+        with pytest.raises(WalFormatError, match="pre-columnar.*migrate"):
+            apply_commit(database, legacy)
+        assert database.counts() == (0, 0)
 
 
 # ----------------------------------------------------------------------
