@@ -6,25 +6,34 @@ Two contracts beyond what ``test_server.py`` already covers:
   ``BROWSE``, ``EXPORT``, ``SAVE``) runs without acquiring *any* lock:
   the instrumented :class:`WriteMutex` observes zero acquisitions
   across all five verbs;
-* **liveness** — a deliberately slow ``MATCH`` (a three-variable join
-  over an all-knowing clique, ~216k matchings) overlaps 50 commits and
-  neither side waits for the other: the commits finish while the MATCH
-  is still enumerating, and the MATCH still returns the exact
-  pin-time count.
+* **liveness** — a ``MATCH`` (a three-variable join over an
+  all-knowing clique) is held mid-enumeration by a gate after its first
+  matching, and 50 commits must be acknowledged before the test opens
+  the gate: neither side waits for the other, so the commits land while
+  the MATCH is still enumerating, and the MATCH still returns the exact
+  pin-time count.  The gate, not the executor's speed, sets the
+  overlap.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from contextlib import asynccontextmanager
 
 import pytest
 
+import repro.interactive.session as interactive_session
 from repro.core import Instance, Scheme
 from repro.io import scheme_to_json
 from repro.server import BackgroundServer, Catalog, GoodClient, GoodServer
 from repro.server.locks import WriteMutex
+
+#: Seconds the gated MATCH waits to be let go; below ``GoodServer``'s
+#: 30 s ``lock_timeout`` and the 120 s integration watchdog, so a
+#: writer queued behind the MATCH fails the test instead of hanging it.
+GATE_TIMEOUT = 10.0
 
 
 def people_scheme() -> Scheme:
@@ -108,9 +117,16 @@ def test_stats_surface_snapshot_and_lock_wait_counters(served):
     assert stats["total"]["lock_wait"]["samples"] == 2
 
 
-def test_long_match_overlaps_fifty_commits(served):
-    """Liveness both ways: 50 commits land while one slow MATCH runs,
-    and the MATCH answers with its pin-time state."""
+def test_long_match_overlaps_fifty_commits(served, monkeypatch):
+    """Liveness both ways: 50 commits land while one pinned MATCH is
+    held mid-enumeration, and the MATCH answers with its pin-time state.
+
+    A gate on the session's ``find_any`` holds the MATCH after its first
+    matching until all 50 commits are acknowledged, so the overlap is
+    set by the test's sequencing, not by how fast the executor
+    enumerates.  Were the writers queued behind the reader, no commit
+    could be acknowledged, the gate would be let go only by its timeout,
+    and ``released`` would be false."""
     server, _, _ = served
     n = 60
     # GOOD node addition is set-semantics (no duplicate creation), so
@@ -128,22 +144,40 @@ def test_long_match_overlaps_fifty_commits(served):
     database = server.catalog.get("people")
     triple = "{ p: Person; q: Person; r: Person; p -knows->> q; q -knows->> r }"
     outcome: dict = {}
+    entered = threading.Event()
+    release = threading.Event()
+    # RUN matches through repro.core.operations, so only MATCH (and the
+    # session's other read paths) reach the patched name
+    original_find_any = interactive_session.find_any
+    calls = itertools.count()
 
-    def slow_match():
+    def held(found):
+        found = iter(found)
+        yield next(found)
+        entered.set()
+        outcome["released"] = release.wait(timeout=GATE_TIMEOUT)
+        yield from found
+
+    def gated_find_any(pattern, instance):
+        found = original_find_any(pattern, instance)
+        # only the MATCH under test is held; the final count is not
+        return held(found) if next(calls) == 0 else found
+
+    monkeypatch.setattr(interactive_session, "find_any", gated_find_any)
+
+    def held_match():
         with connect(served) as reader_client:
             reader_client.use("people")
             outcome["found"] = reader_client.match(triple, limit=1)
             outcome["done_at"] = time.perf_counter()
 
-    reader = threading.Thread(target=slow_match)
+    reader = threading.Thread(target=held_match)
     reader.start()
     try:
-        # wait for the MATCH to pin its snapshot before churning
-        deadline = time.monotonic() + 30
-        while database.snapshots.gauges()["snapshots_pinned"] == 0:
-            if time.monotonic() > deadline:
-                pytest.fail("MATCH never pinned a snapshot")
-            time.sleep(0.001)
+        # the MATCH has pinned its snapshot and yielded one matching
+        if not entered.wait(timeout=30):
+            pytest.fail("MATCH never reached its first matching")
+        assert database.snapshots.gauges()["snapshots_pinned"] == 1
         commit_times = []
         with connect(served) as writer:
             writer.use("people")
@@ -151,11 +185,15 @@ def test_long_match_overlaps_fifty_commits(served):
                 writer.run('addnode Person(name -> n) {{ n: String = "w{}" }}'.format(i))
                 commit_times.append(time.perf_counter())
     finally:
+        release.set()
         reader.join()
 
     # snapshot consistency: every triple over the pin-time clique, no
     # torn count from the 50 concurrent commits
     assert outcome["found"]["total"] == n**3
+    # the test opened the gate: all 50 commits were acknowledged while
+    # the MATCH was held, not after its gate timed out
+    assert outcome["released"]
     # liveness: the writers were not queued behind the reader (a
     # reader-writer lock would finish all 50 commits after the MATCH)
     commits_before_match_answered = sum(
