@@ -8,11 +8,11 @@ Two contracts beyond what ``test_server.py`` already covers:
   across all five verbs;
 * **liveness** — a ``MATCH`` (a three-variable join over an
   all-knowing clique) is held mid-enumeration by a gate after its first
-  matching, and 50 commits must be acknowledged before the test opens
-  the gate: neither side waits for the other, so the commits land while
-  the MATCH is still enumerating, and the MATCH still returns the exact
-  pin-time count.  The gate, not the executor's speed, sets the
-  overlap.
+  matching, and the first 10 of 50 commits must be acknowledged before
+  the test opens the gate; the other 40 race the MATCH's enumeration of
+  the pinned snapshot.  Neither side waits for the other, and the MATCH
+  still returns the exact pin-time count.  The gate, not the
+  executor's speed, sets the overlap the assertions rely on.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from repro.server.locks import WriteMutex
 #: 30 s ``lock_timeout`` and the 120 s integration watchdog, so a
 #: writer queued behind the MATCH fails the test instead of hanging it.
 GATE_TIMEOUT = 10.0
+
+#: Commits acknowledged while the MATCH is held before the test opens
+#: its gate; the rest of the 50 then run against the live enumeration.
+GATED_COMMITS = 10
 
 
 def people_scheme() -> Scheme:
@@ -118,15 +122,20 @@ def test_stats_surface_snapshot_and_lock_wait_counters(served):
 
 
 def test_long_match_overlaps_fifty_commits(served, monkeypatch):
-    """Liveness both ways: 50 commits land while one pinned MATCH is
-    held mid-enumeration, and the MATCH answers with its pin-time state.
+    """Liveness both ways: 50 commits land against one pinned MATCH, the
+    first ten while it is held mid-enumeration and the rest while it
+    enumerates, and the MATCH answers with its pin-time state.
 
     A gate on the session's ``find_any`` holds the MATCH after its first
-    matching until all 50 commits are acknowledged, so the overlap is
-    set by the test's sequencing, not by how fast the executor
-    enumerates.  Were the writers queued behind the reader, no commit
-    could be acknowledged, the gate would be let go only by its timeout,
-    and ``released`` would be false."""
+    matching until the first ``GATED_COMMITS`` commits are acknowledged,
+    so that overlap is set by the test's sequencing, not by how fast the
+    executor enumerates.  The gate then opens and the remaining commits
+    run while the MATCH enumerates the pinned snapshot on the CPU, which
+    races the commits against reads of state the live store shares with
+    its snapshots (the plan cache, copy-on-write columns).  Were the
+    writers queued behind the reader, no commit could be acknowledged,
+    the gate would be let go only by its timeout, and ``released`` would
+    be false."""
     server, _, _ = served
     n = 60
     # GOOD node addition is set-semantics (no duplicate creation), so
@@ -184,6 +193,9 @@ def test_long_match_overlaps_fifty_commits(served, monkeypatch):
             for i in range(50):
                 writer.run('addnode Person(name -> n) {{ n: String = "w{}" }}'.format(i))
                 commit_times.append(time.perf_counter())
+                if len(commit_times) == GATED_COMMITS:
+                    # the rest of the commits race the live enumeration
+                    release.set()
     finally:
         release.set()
         reader.join()
@@ -191,8 +203,8 @@ def test_long_match_overlaps_fifty_commits(served, monkeypatch):
     # snapshot consistency: every triple over the pin-time clique, no
     # torn count from the 50 concurrent commits
     assert outcome["found"]["total"] == n**3
-    # the test opened the gate: all 50 commits were acknowledged while
-    # the MATCH was held, not after its gate timed out
+    # the test opened the gate: the first GATED_COMMITS commits were
+    # acknowledged while the MATCH was held, not after its gate timed out
     assert outcome["released"]
     # liveness: the writers were not queued behind the reader (a
     # reader-writer lock would finish all 50 commits after the MATCH)
