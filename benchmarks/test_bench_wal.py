@@ -135,7 +135,7 @@ def build_database(root: Path, commits: int) -> None:
     scheme = Scheme(printable_labels=["String"])
     scheme.declare("Person", "name", "String")
     catalog, _ = recover_catalog(root, fsync_policy="off")
-    catalog.create("g", backend="native", scheme_data=scheme_to_json(scheme))
+    catalog.create("g", scheme_data=scheme_to_json(scheme))
     database = catalog.get("g")
     for i in range(commits):
         database.run_program(f'addnode Person(name -> n) {{ n: String = "p{i}" }}')

@@ -360,7 +360,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 # already recovered from the data dir; the durable copy
                 # wins over the seed file
                 continue
-            catalog.load_file(name, path, backend=args.backend)
+            catalog.load_file(name, path)
     except (GoodError, OSError, ValueError) as error:
         catalog.close_durability()
         print(f"ERROR: {error}", file=sys.stderr)
@@ -444,7 +444,7 @@ def _serve_cluster(args: argparse.Namespace) -> int:
                         return 1
                     if any(e["name"] == name for e in client.list()["databases"]):
                         continue  # recovered from the data dir; it wins
-                    client.load(name, os.path.abspath(path), backend=args.backend)
+                    client.load(name, os.path.abspath(path))
         durable = (
             f" — data dir: {cluster.data_dir} (fsync={cluster.fsync})"
             if args.data_dir
@@ -820,12 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="NAME=FILE",
         help="serve a JSON instance file under NAME (repeatable)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=["native", "relational", "tarski"],
-        default="native",
-        help="backend for the databases loaded via --db",
     )
     serve.add_argument(
         "--max-clients", type=int, default=8, help="concurrent requests executing"

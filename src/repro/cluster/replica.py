@@ -206,14 +206,14 @@ class WalTailer:
 
     def _resync(self, name: str, directory: Path) -> int:
         """Rebuild a database from its newest checkpoint + all segments."""
-        meta = DataDirectory._read_meta(directory)
+        DataDirectory._read_meta(directory)
         doc, epoch, _skipped = DataDirectory._latest_valid_checkpoint(directory)
         instance = checkpoint_instance(directory / checkpoint_name(epoch), doc)
         if name in self.catalog:
             database = self.catalog.get(name)
             replace_state(database, instance)
         else:
-            database = self.catalog.add(name, instance, backend=meta["backend"])
+            database = self.catalog.add(name, instance)
         set_next_id(database, doc["next_id"])
         state = _FollowedDatabase(directory, epoch, 0, doc["last_lsn"])
         applied = 0
@@ -232,7 +232,7 @@ class WalTailer:
         self.resyncs += 1
         self._state[name] = state
         # even a no-new-records resync must publish: replace_state
-        # rebound the backend, and the applied map must cover CREATEd
+        # rebound the session, and the applied map must cover CREATEd
         # databases the router has not seen commits for yet
         database.last_commit_lsn = state.lsn
         database.publish_version()

@@ -130,6 +130,10 @@ class Scheme:
             raise SchemeError(f"property edge {edge!r} is not a declared edge label")
         if target not in self._object_labels and target not in self._printable_labels:
             raise SchemeError(f"property target {target!r} is not a declared node label")
+        if (source, edge, target) in self._properties:
+            # already in P: no change, so no journal snapshot, no
+            # logged scheme op and no far_labels invalidation
+            return self
         self._changed()
         self._properties.add((source, edge, target))
         self._far = {}

@@ -8,16 +8,11 @@ in-flight readers and garbage-collects unpinned ones, and
 :class:`~repro.mvcc.readers.SnapshotReader` serves every query verb
 from a pinned version with no read lock at all.
 
-The copy-on-write substrate lives with each backend:
-
-* native — :meth:`repro.graph.store.GraphStore.fork` (O(1) frozen
-  forks; each store carries a fork epoch and writes a container in
-  place only when the container carries it, cloning it first
-  otherwise);
-* relational — :meth:`repro.storage.minirel.Database.fork` (O(#tables)
-  forks with per-table copy-on-first-write segments);
-* tarski — the engine's relations are already immutable, so a version
-  is just the current family of :class:`BinaryRelation` roots.
+The copy-on-write substrate is
+:meth:`repro.graph.store.GraphStore.fork`: O(1) frozen forks; each
+store carries a fork epoch and writes a container in place only when
+the container carries it, cloning it first otherwise.  Only the native
+store is served, so it is the only substrate versions are taken of.
 """
 
 from repro.mvcc.registry import SnapshotRegistry

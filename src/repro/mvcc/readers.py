@@ -9,8 +9,7 @@ without the reader noticing.
 
 It also serves ``QUERY`` (``query_program``), the one verb only a
 reader has: each run gets a fresh mutable copy-on-write clone of the
-pinned version (``GraphStore.copy`` through ``Session.query`` on the
-native backend, :meth:`Version.query_target` on the engines), so any
+pinned version (``GraphStore.copy`` through ``Session.query``), so any
 number of concurrent queries coexist — and none of them can perturb
 the snapshot or the live database's plan cache.
 """
@@ -21,7 +20,6 @@ from typing import Any, List, Tuple
 
 from repro.interactive import Session
 from repro.server.catalog import CatalogError, ServedDatabase
-from repro.txn.snapshot import summarize
 
 
 class SnapshotReader(ServedDatabase):
@@ -29,21 +27,15 @@ class SnapshotReader(ServedDatabase):
 
     def __init__(self, database: Any, version: Any) -> None:
         # deliberately not calling ServedDatabase.__init__: this facade
-        # wraps an existing version instead of building a backend
+        # wraps an existing version instead of publishing one
         self.name = database.name
-        self.backend = database.backend
         self.durability = None
         self.last_commit_lsn = database.last_commit_lsn
         self._pending_ticket = None
         self._owner = database
         self._version = version
         self._released = False
-        if version.backend == "native":
-            self.session = Session(version.reader_instance())
-            self._engine = None
-        else:
-            self.session = None
-            self._engine = version.reader_engine()
+        self.session = Session(version.instance)
 
     @property
     def version(self) -> Any:
@@ -64,15 +56,10 @@ class SnapshotReader(ServedDatabase):
 
     # -- reads that need snapshot-specific handling ---------------------
     def query_program(self, source: str) -> Tuple[List[Any], Tuple[int, int]]:
-        program = self._compile(source)
-        if self.session is not None:
-            # Session.query copies the instance first: an O(1) mutable
-            # clone of the frozen store, with a plan cache of its own
-            result = self.session.query(program)
-            return list(result.reports), (result.instance.node_count, result.instance.edge_count)
-        engine = self._version.query_target()
-        reports = list(engine.run(program.operations, atomic=False))
-        return reports, summarize(engine)
+        # Session.query copies the instance first: an O(1) mutable
+        # clone of the frozen store, with a plan cache of its own
+        result = self.session.query(self._compile(source))
+        return list(result.reports), (result.instance.node_count, result.instance.edge_count)
 
     # -- writes are a bug, not a verb -----------------------------------
     def run_program(self, source: str) -> List[Any]:

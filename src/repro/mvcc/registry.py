@@ -32,15 +32,8 @@ class SnapshotRegistry:
         # superseded versions still pinned by in-flight readers,
         # oldest first
         self._retired: List[Any] = []
-        self._epoch = 0
         self.versions_published = 0
         self.versions_gced = 0
-
-    def next_epoch(self) -> int:
-        """A fresh monotone epoch for backends without a store epoch."""
-        with self._lock:
-            self._epoch += 1
-            return self._epoch
 
     def publish(self, version: Any) -> Any:
         """Install ``version`` as current; GC the predecessor if unpinned."""

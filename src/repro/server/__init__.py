@@ -7,8 +7,9 @@ clients at once.
 
 * :mod:`repro.server.protocol` — versioned newline-delimited JSON
   frames with structured error codes;
-* :mod:`repro.server.catalog`  — named databases, one backend each
-  (native / relational / Tarski), import/export via :mod:`repro.io`;
+* :mod:`repro.server.catalog`  — named databases on the native graph
+  store, import/export via :mod:`repro.io` (Section 5's relational
+  and Tarski engines are library code, not served);
 * :mod:`repro.server.locks`    — per-database writer mutexes and
   bounded admission control;
 * :mod:`repro.server.session`  — per-connection verb dispatch with

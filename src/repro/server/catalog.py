@@ -1,25 +1,24 @@
-"""The database catalog: named scheme+instance pairs, one backend each.
+"""The database catalog: named scheme+instance pairs, served natively.
 
-A :class:`ServedDatabase` wraps one GOOD object base behind a uniform
-verb-shaped API (run / matchings / browse / export; query mode runs on
-a pinned version, :class:`~repro.mvcc.readers.SnapshotReader`) so the
-session layer never branches on the backend:
+A :class:`ServedDatabase` wraps one GOOD object base — the in-memory
+graph :class:`~repro.core.instance.Instance` inside an
+:class:`~repro.interactive.Session` (which supplies query/update modes,
+browsing and the undo frames) — behind a verb-shaped API (run /
+matchings / browse / export; query mode runs on a pinned version,
+:class:`~repro.mvcc.readers.SnapshotReader`).
 
-* ``native`` — the in-memory graph :class:`~repro.core.instance.Instance`,
-  wrapped in an :class:`~repro.interactive.Session` (which supplies
-  query/update modes, browsing and the undo frames);
-* ``relational`` — :class:`~repro.storage.engine.RelationalEngine`
-  (Section 5's embedded-SQL architecture);
-* ``tarski`` — :class:`~repro.tarski.engine.TarskiEngine` (the binary
-  relation algebra substrate).
+Section 5's relational and Tarski engines are implementation strategies
+kept as library code; they are not served.  A ``CREATE`` or ``LOAD``
+naming another backend is refused with the migration (EXPORT with the
+previous release, then LOAD the document as native).  ``LIST`` and
+``EXPLAIN`` still reply ``"backend": "native"``.
 
-All three are transactional targets (:mod:`repro.txn.snapshot`), so
-program runs are atomic on every backend.  Each write runs under exactly
-one :class:`~repro.txn.transaction.Transaction`; its committed journal
-rolls a failed run back, becomes the WAL commit record, and on native is
-kept as the undo frame.  ``UNDO`` is a write like any other: it
-reverse-replays the newest frame in a transaction of its own and logs
-that journal as an ordinary commit.
+Each write runs under exactly one
+:class:`~repro.txn.transaction.Transaction`; its committed journal
+rolls a failed run back, becomes the WAL commit record, and is kept as
+the undo frame.  ``UNDO`` is a write like any other: it reverse-replays
+the newest frame in a transaction of its own and logs that journal as
+an ordinary commit.
 
 :class:`Catalog` is the name -> database directory with create / drop /
 load / save.  It is deliberately synchronous and lock-free: the server
@@ -48,10 +47,10 @@ from repro.mvcc import SnapshotRegistry, capture_version
 from repro.server.protocol import register_error_code
 from repro.txn import guards
 from repro.txn.snapshot import summarize
-from repro.txn.transaction import atomic_run
 from repro.wal import DataDirLockedError, WalError
 
-BACKENDS = ("native", "relational", "tarski")
+#: The one served backend, as LIST and EXPLAIN replies name it.
+BACKEND = "native"
 
 
 class CatalogError(GoodError):
@@ -68,14 +67,21 @@ register_error_code(WalError, "WAL")
 register_error_code(DataDirLockedError, "DATA_DIR_LOCKED")
 
 
+def require_native(backend: Any) -> None:
+    """Refuse a ``CREATE``/``LOAD`` that asks for a backend other than native."""
+    if backend != BACKEND:
+        raise CatalogError(
+            f"backend {backend!r} is not served (only {BACKEND!r} is); to migrate a "
+            "database served on an engine, EXPORT it with the previous release, "
+            "then LOAD the exported document as native"
+        )
+
+
 class ServedDatabase:
     """One named object base behind the uniform serving API."""
 
-    def __init__(self, name: str, instance: Instance, backend: str = "native") -> None:
-        if backend not in BACKENDS:
-            raise CatalogError(f"unknown backend {backend!r} (expected one of {BACKENDS})")
+    def __init__(self, name: str, instance: Instance) -> None:
         self.name = name
-        self.backend = backend
         # wired by DataDirectory when serving from a durable data dir
         self.durability: Any = None
         # the LSN of the most recent commit THIS database acknowledged;
@@ -83,19 +89,7 @@ class ServedDatabase:
         # path, so a RUN response can carry exactly its own commit's LSN
         self.last_commit_lsn = 0
         self._pending_ticket: Any = None
-        self._engine: Any = None
-        if backend == "native":
-            self.session: Optional[Session] = Session(instance)
-        elif backend == "relational":
-            from repro.storage.engine import RelationalEngine
-
-            self.session = None
-            self._engine = RelationalEngine.from_instance(instance)
-        else:
-            from repro.tarski.engine import TarskiEngine
-
-            self.session = None
-            self._engine = TarskiEngine.from_instance(instance)
+        self.session = Session(instance)
         # MVCC: every commit publishes an immutable version here; query
         # verbs pin one and read without any lock (repro.mvcc)
         self.snapshots = SnapshotRegistry()
@@ -113,7 +107,7 @@ class ServedDatabase:
 
         Called after every state change, under whatever exclusion the
         caller already holds (the server's write mutex, or none before
-        serving starts).  O(changes) thanks to the backends' COW forks.
+        serving starts).  O(1) thanks to the store's copy-on-write forks.
         """
         return self.snapshots.publish(capture_version(self))
 
@@ -128,12 +122,9 @@ class ServedDatabase:
         return SnapshotReader(self, self.snapshots.pin())
 
     @property
-    def target(self) -> Any:
-        """The transactional target holding the current state
-        (``session.instance`` for the native backend)."""
-        if self.session is not None:
-            return self.session.instance
-        return self._engine
+    def target(self) -> Instance:
+        """The transactional target holding the current state."""
+        return self.session.instance
 
     # ------------------------------------------------------------------
     # introspection
@@ -141,9 +132,7 @@ class ServedDatabase:
     @property
     def scheme(self):
         """The live scheme (patterns and programs parse against it)."""
-        if self.session is not None:
-            return self.session.instance.scheme
-        return self.target.scheme
+        return self.session.instance.scheme
 
     def counts(self) -> Tuple[int, int]:
         """``(node_count, edge_count)`` of the current state."""
@@ -152,7 +141,7 @@ class ServedDatabase:
     def describe(self) -> Dict[str, Any]:
         """The ``LIST`` entry for this database."""
         nodes, edges = self.counts()
-        return {"name": self.name, "backend": self.backend, "nodes": nodes, "edges": edges}
+        return {"name": self.name, "backend": BACKEND, "nodes": nodes, "edges": edges}
 
     # ------------------------------------------------------------------
     # verbs
@@ -163,18 +152,13 @@ class ServedDatabase:
     def run_program(self, source: str) -> List[Any]:
         """Atomic in-place run of DSL ``source``; per-operation reports.
 
-        On any failure the backend state (scheme included) is exactly
-        the pre-run state — the :mod:`repro.txn` guarantee — and the
+        On any failure the state (scheme included) is exactly the
+        pre-run state — the :mod:`repro.txn` guarantee — and the
         exception carries a ``failure_report``.
         """
-        program = self._compile(source)
-        if self.session is not None:
-            result = self.session.update(program)
-            reports, journal = list(result.reports), result.journal
-        else:
-            reports, journal = atomic_run(self._engine, program.operations, self._engine.apply)
-        self._commit(journal)
-        return reports
+        result = self.session.update(self._compile(source))
+        self._commit(result.journal)
+        return list(result.reports)
 
     def _commit(self, journal: Any) -> None:
         """Make a committed write durable, then visible.
@@ -184,7 +168,7 @@ class ServedDatabase:
         is on disk, per the writer's fsync policy.  If the append fails,
         ``journal`` is reverted so memory never diverges from disk, and
         the writer stays poisoned — exactly as if the process had died.
-        A reverted native write leaves the session's undo frames behind
+        A reverted write leaves the session's undo frames behind
         a state they do not end at, so :meth:`Session.undo
         <repro.interactive.Session.undo>` refuses them.
         """
@@ -245,12 +229,7 @@ class ServedDatabase:
         return job
 
     def explain(self, pattern_source: str) -> Dict[str, Any]:
-        """The compiled match plan for a DSL pattern (no execution).
-
-        Works on every backend: the plan is computed against the native
-        view of the current state (engines export a copy), so the text
-        always describes how the planner would join the pattern.
-        """
+        """The compiled match plan for a DSL pattern (no execution)."""
         from repro.core.pattern import NegatedPattern
         from repro.plan import explain_pattern, plan_for
 
@@ -262,7 +241,7 @@ class ServedDatabase:
         plan, cached = plan_for(positive, instance)
         text = explain_pattern(pattern, instance)
         return {
-            "backend": self.backend,
+            "backend": BACKEND,
             "text": text,
             "strategy": plan.strategy,
             "plan": plan.to_json(),
@@ -276,13 +255,10 @@ class ServedDatabase:
     def matchings(self, pattern_source: str, limit: Optional[int] = None) -> Dict[str, Any]:
         """All matchings of a DSL pattern, keyed by variable name."""
         pattern, bindings = parse_pattern(pattern_source, self.scheme)
-        if self.session is not None:
-            found = self.session.matchings(pattern)
-            # the engines charge inside their matchings(); the native
-            # session path charges here so budgets bind everywhere
-            guards.charge_matchings(len(found))
-        else:
-            found = list(self.target.matchings(pattern))
+        found = self.session.matchings(pattern)
+        # the session does not charge its own matchings; charge here so
+        # the per-session budget binds
+        guards.charge_matchings(len(found))
         total = len(found)
         if limit is not None:
             found = found[:limit]
@@ -292,27 +268,17 @@ class ServedDatabase:
         ]
         return {"total": total, "returned": len(named), "matchings": named}
 
-    def _browse_session(self) -> Session:
-        if self.session is not None:
-            return self.session
-        return Session(self.target.to_instance())
-
     def browse(self, node: int, hops: int = 1) -> Subinstance:
         """The neighbourhood slice around ``node``."""
-        return self._browse_session().browse(node, hops=hops)
+        return self.session.browse(node, hops=hops)
 
     def undo(self) -> Tuple[int, int]:
-        """Native backend only: reverse the most recent update.
+        """Reverse the most recent update.
 
         The reversal is a commit of its own: its journal is logged,
         published and counted toward auto-checkpoints exactly like a
         ``RUN``, so replicas and recovery apply it incrementally.
         """
-        if self.session is None:
-            raise CatalogError(
-                f"database {self.name!r} uses the {self.backend!r} backend; "
-                "UNDO is only available on the native backend"
-            )
         self._commit(self.session.undo())
         return self.counts()
 
@@ -320,10 +286,8 @@ class ServedDatabase:
     # import / export
     # ------------------------------------------------------------------
     def to_instance(self) -> Instance:
-        """The current state as a native instance (a copy for engines)."""
-        if self.session is not None:
-            return self.session.instance
-        return self.target.to_instance()
+        """The current state as an instance (the live one, not a copy)."""
+        return self.session.instance
 
     def to_json(self) -> Dict[str, Any]:
         """The current state as a serialisable instance document."""
@@ -368,13 +332,13 @@ class Catalog:
                 f"no database named {name!r} (known: {known})"
             ) from None
 
-    def add(self, name: str, instance: Instance, backend: str = "native") -> ServedDatabase:
+    def add(self, name: str, instance: Instance) -> ServedDatabase:
         """Serve an already-built instance under ``name``."""
         if not name or not isinstance(name, str):
             raise CatalogError(f"invalid database name {name!r}")
         if name in self._databases:
             raise CatalogError(f"database {name!r} already exists")
-        database = ServedDatabase(name, instance, backend)
+        database = ServedDatabase(name, instance)
         if self.durability is not None:
             self.durability.attach_new(database)
         self._databases[name] = database
@@ -383,7 +347,6 @@ class Catalog:
     def create(
         self,
         name: str,
-        backend: str = "native",
         scheme_data: Optional[Dict[str, Any]] = None,
         instance_data: Optional[Dict[str, Any]] = None,
     ) -> ServedDatabase:
@@ -397,7 +360,7 @@ class Catalog:
             instance = Instance(scheme_from_json(scheme_data))
         else:
             raise CatalogError("creating a database needs a scheme or an instance document")
-        return self.add(name, instance, backend)
+        return self.add(name, instance)
 
     def drop(self, name: str) -> None:
         """Forget a database (its on-disk state, if any, included)."""
@@ -416,6 +379,6 @@ class Catalog:
             self.durability.close()
             self.durability = None
 
-    def load_file(self, name: str, path: Union[str, Path], backend: str = "native") -> ServedDatabase:
+    def load_file(self, name: str, path: Union[str, Path]) -> ServedDatabase:
         """Serve a JSON instance file under ``name``."""
-        return self.add(name, load_instance(path), backend)
+        return self.add(name, load_instance(path))

@@ -204,11 +204,10 @@ class GoodClient:
     def create(
         self,
         name: str,
-        backend: str = "native",
         scheme: Optional[Dict[str, Any]] = None,
         instance: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        args: Dict[str, Any] = {"name": name, "backend": backend}
+        args: Dict[str, Any] = {"name": name}
         if scheme is not None:
             args["scheme"] = scheme
         if instance is not None:
@@ -218,8 +217,8 @@ class GoodClient:
     def drop(self, name: str) -> Dict[str, Any]:
         return self.call("DROP", name=name)
 
-    def load(self, name: str, path: str, backend: str = "native") -> Dict[str, Any]:
-        return self.call("LOAD", name=name, path=path, backend=backend)
+    def load(self, name: str, path: str) -> Dict[str, Any]:
+        return self.call("LOAD", name=name, path=path)
 
     def run(self, program: str, db: Optional[str] = None) -> Dict[str, Any]:
         return self.call("RUN", program=program, **({"db": db} if db else {}))

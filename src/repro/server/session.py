@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core import counters as _counters
 from repro.server import protocol
-from repro.server.catalog import ServedDatabase
+from repro.server.catalog import ServedDatabase, require_native
 from repro.server.protocol import ProtocolError, require_arg
 from repro.txn.guards import ResourceLimits
 from repro.wal.record import WalError
@@ -278,9 +278,9 @@ class ServerSession:
     @_verb("CREATE", "catalog")
     def _create(self, args: Dict[str, Any]) -> Dict[str, Any]:
         name = require_arg(args, "name", str)
+        require_native(args.get("backend", "native"))
         database = self.catalog.create(
             name,
-            backend=args.get("backend", "native"),
             scheme_data=args.get("scheme"),
             instance_data=args.get("instance"),
         )
@@ -299,7 +299,8 @@ class ServerSession:
     def _load(self, args: Dict[str, Any]) -> Dict[str, Any]:
         name = require_arg(args, "name", str)
         path = require_arg(args, "path", str)
-        database = self.catalog.load_file(name, path, backend=args.get("backend", "native"))
+        require_native(args.get("backend", "native"))
+        database = self.catalog.load_file(name, path)
         return {"loaded": database.describe()}
 
     # ------------------------------------------------------------------

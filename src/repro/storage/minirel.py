@@ -47,43 +47,6 @@ class Table:
         # owning Database (set on create/copy/journal-reinstall); used
         # to report imminent mutations to attached undo journals
         self._db: Optional["Database"] = None
-        # rows/primary/indexes are shared with a COW fork (see fork);
-        # every mutator privatizes them first so the other side keeps
-        # an untouched view
-        self._shared = False
-
-    def _privatize(self) -> None:
-        """Deep-copy the shared row storage before the first mutation."""
-        if not self._shared:
-            return
-        self._rows = {rowid: dict(row) for rowid, row in self._rows.items()}
-        self._primary = dict(self._primary)
-        self._indexes = {
-            column: {value: set(ids) for value, ids in index.items()}
-            for column, index in self._indexes.items()
-        }
-        self._shared = False
-
-    def fork(self) -> "Table":
-        """An O(1) copy-on-write clone sharing row storage with this table.
-
-        Both sides are marked shared; whichever mutates first pays a
-        one-time deep copy (:meth:`_privatize`), leaving the other
-        side's data untouched.  Used by the MVCC snapshot subsystem to
-        publish a relational version in O(#tables).
-        """
-        clone = Table.__new__(Table)
-        clone.name = self.name
-        clone.columns = list(self.columns)
-        clone.key = self.key
-        clone._rows = self._rows
-        clone._next_rowid = self._next_rowid
-        clone._primary = self._primary
-        clone._indexes = self._indexes
-        clone._db = None
-        clone._shared = True
-        self._shared = True
-        return clone
 
     def _notify(self) -> None:
         """Tell the owning database's journals this table will mutate.
@@ -106,7 +69,6 @@ class Table:
         if column in self.columns:
             return
         self._notify()
-        self._privatize()
         self.columns.append(column)
         for row in self._rows.values():
             row[column] = default
@@ -116,7 +78,6 @@ class Table:
         if column not in self.columns:
             raise BackendError(f"table {self.name!r}: no column {column!r} to index")
         self._notify()
-        self._privatize()
         index: Dict[Any, set] = {}
         for rowid, row in self._rows.items():
             index.setdefault(row[column], set()).add(rowid)
@@ -138,7 +99,6 @@ class Table:
                     f"table {self.name!r}: duplicate primary key {key_value!r}"
                 )
         self._notify()
-        self._privatize()
         rowid = self._next_rowid
         self._next_rowid += 1
         self._rows[rowid] = full
@@ -162,7 +122,6 @@ class Table:
         if rowid is None:
             return False
         self._notify()
-        self._privatize()
         row = self._rows[rowid]
         for column, value in changes.items():
             if column not in self.columns:
@@ -183,7 +142,6 @@ class Table:
         if rowid is None:
             return False
         self._notify()
-        self._privatize()
         self._primary.pop(key_value, None)
         self._drop_rowid(rowid)
         return True
@@ -193,7 +151,6 @@ class Table:
         victims = [rowid for rowid, row in self._rows.items() if predicate(row)]
         if victims:
             self._notify()
-            self._privatize()
         for rowid in victims:
             row = self._rows[rowid]
             if self.key is not None:
@@ -310,18 +267,6 @@ class Database:
         """Deep copy of all tables (journals do not carry over)."""
         clone = Database()
         clone._tables = {name: table.copy() for name, table in self._tables.items()}
-        for table in clone._tables.values():
-            table._db = clone
-        return clone
-
-    def fork(self) -> "Database":
-        """An O(#tables) copy-on-write clone (see :meth:`Table.fork`).
-
-        Journals do not carry over; DDL on either side stays private
-        because each database owns its table dict.
-        """
-        clone = Database()
-        clone._tables = {name: table.fork() for name, table in self._tables.items()}
         for table in clone._tables.values():
             table._db = clone
         return clone

@@ -11,7 +11,8 @@ redo story on top of PR 5's undo journals:
   group-commit batcher) and :class:`~repro.wal.log.WalReader`
   (torn-tail tolerant segment scan);
 * :mod:`repro.wal.redo` — derive *redo* records from a committed undo
-  journal (all three backends) and re-apply them during recovery;
+  journal of the native store and re-apply them during recovery (the
+  relational and Tarski engines are library code and are never logged);
 * :mod:`repro.wal.checkpoint` — atomic instance snapshots that let
   replayed segments be truncated;
 * :mod:`repro.wal.manager` — the data directory: per-database WAL +

@@ -41,6 +41,11 @@ from repro.wal.record import WalFormatError
 
 CHECKPOINT_FORMAT = 1
 
+#: The backend every checkpoint and ``meta.json`` names.  Only the
+#: native store is served; the key stays so the previous release can
+#: read what this one writes.
+BACKEND = "native"
+
 
 def checkpoint_name(epoch: int) -> str:
     """File name of the checkpoint opening ``epoch``."""
@@ -75,7 +80,6 @@ def write_checkpoint(
     epoch: int,
     instance: Instance,
     *,
-    backend: str,
     last_lsn: int,
     next_id: int,
 ) -> Path:
@@ -86,7 +90,7 @@ def write_checkpoint(
     header = {
         "format": CHECKPOINT_FORMAT,
         "kind": "checkpoint",
-        "backend": backend,
+        "backend": BACKEND,
         "epoch": epoch,
         "last_lsn": last_lsn,
         "next_id": next_id,

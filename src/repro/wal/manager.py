@@ -5,7 +5,7 @@ On-disk layout (one directory per served database)::
     <data-dir>/
       LOCK                      # flock'd + pid: single-server guard
       <db-name>/
-        meta.json               # {"name", "backend", "format"}
+        meta.json               # {"name", "backend": "native", "format"}
         checkpoint-<E>.json     # state at the start of epoch E
         wal-<E>.ndjson          # redo records appended during epoch E
       .tmp/                     # staging for atomic database creation
@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.wal.checkpoint import (
+    BACKEND,
     checkpoint_instance,
     checkpoint_name,
     fsync_dir,
@@ -79,7 +80,6 @@ class DatabaseDurability:
         self,
         directory: Union[str, Path],
         name: str,
-        backend: str,
         policy: Any = "always",
         epoch: int = 0,
         lsn: int = 0,
@@ -87,7 +87,6 @@ class DatabaseDurability:
     ) -> None:
         self.directory = Path(directory)
         self.name = name
-        self.backend = backend
         self.policy = parse_fsync_policy(policy)
         self.epoch = epoch
         self.lsn = lsn
@@ -216,7 +215,7 @@ class DatabaseDurability:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DatabaseDurability({self.name!r}, backend={self.backend}, "
+            f"DatabaseDurability({self.name!r}, "
             f"epoch={self.epoch}, lsn={self.lsn})"
         )
 
@@ -265,7 +264,6 @@ class CheckpointJob:
                     durability.directory,
                     self.epoch,
                     self.reader.to_instance(),
-                    backend=durability.backend,
                     last_lsn=self.last_lsn,
                     next_id=self.next_id,
                 )
@@ -335,7 +333,7 @@ class RecoveryReport:
             if entry["stale_files_removed"]:
                 note += f", removed {entry['stale_files_removed']} stale file(s)"
             lines.append(
-                f"recovered {entry['name']!r} ({entry['backend']}): "
+                f"recovered {entry['name']!r}: "
                 f"checkpoint epoch {entry['epoch']}, "
                 f"replayed {entry['records_replayed']} record(s){note}"
             )
@@ -458,7 +456,7 @@ class DataDirectory:
         meta_path = staging / META_NAME
         with open(meta_path, "w") as fp:
             json.dump(
-                {"format": META_FORMAT, "name": database.name, "backend": database.backend},
+                {"format": META_FORMAT, "name": database.name, "backend": BACKEND},
                 fp,
                 sort_keys=True,
             )
@@ -468,7 +466,6 @@ class DataDirectory:
             staging,
             0,
             database.to_instance(),
-            backend=database.backend,
             last_lsn=0,
             next_id=get_next_id(database),
         )
@@ -481,7 +478,6 @@ class DataDirectory:
         database.durability = DatabaseDurability(
             target,
             database.name,
-            database.backend,
             policy=self.policy,
             epoch=0,
             lsn=0,
@@ -529,10 +525,10 @@ class DataDirectory:
         from repro.wal.redo import apply_commit, apply_reset, set_next_id
 
         directory = self.root / name
-        meta = self._read_meta(directory)
+        self._read_meta(directory)
         doc, epoch, skipped = self._latest_valid_checkpoint(directory)
         instance = checkpoint_instance(directory / checkpoint_name(epoch), doc)
-        database = catalog.add(name, instance, backend=meta["backend"])
+        database = catalog.add(name, instance)
         set_next_id(database, doc["next_id"])
         lsn = doc["last_lsn"]
         # a checkpoint rotates *before* it streams, so a crash
@@ -583,7 +579,6 @@ class DataDirectory:
         database.durability = DatabaseDurability(
             directory,
             name,
-            meta["backend"],
             policy=self.policy,
             epoch=segment_epochs[-1],
             lsn=lsn,
@@ -591,7 +586,6 @@ class DataDirectory:
         )
         return {
             "name": name,
-            "backend": meta["backend"],
             "epoch": epoch,
             "last_lsn": lsn,
             "records_replayed": replayed,
@@ -604,14 +598,21 @@ class DataDirectory:
         }
 
     @staticmethod
-    def _read_meta(directory: Path) -> Dict[str, Any]:
+    def _read_meta(directory: Path) -> None:
+        """Read and check ``meta.json``: the one gate before recovery or
+        a replica resync touches a database directory."""
         try:
             meta = json.loads((directory / META_NAME).read_text())
         except (OSError, ValueError) as error:
             raise WalFormatError(f"{directory}: unreadable {META_NAME}: {error}") from error
         if not isinstance(meta, dict) or "backend" not in meta:
             raise WalFormatError(f"{directory}: malformed {META_NAME}")
-        return meta
+        if meta["backend"] != BACKEND:
+            raise WalFormatError(
+                f"{directory}: the database was served on the {meta['backend']!r} "
+                "backend, which this release does not serve; to migrate, EXPORT it "
+                "with the previous release, then LOAD the exported document as native"
+            )
 
     @staticmethod
     def _latest_valid_checkpoint(directory: Path) -> Tuple[Dict[str, Any], int, int]:

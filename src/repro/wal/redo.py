@@ -2,24 +2,17 @@
 
 PR 5's journals describe every mutation *backwards* (enough to undo).
 At commit time this module reads the same entries *forwards* and emits
-redo operations — what recovery must re-apply on top of a checkpoint:
-
-* **native** — the journal already is an operation log; each store
-  entry maps 1:1 to a redo op (``add_node`` / ``remove_node`` /
-  ``set_print`` / ``add_edge`` / ``remove_edge``), replayed through the
-  raw :class:`~repro.graph.store.GraphStore` mutators;
-* **relational** — the journal records which tables were touched
-  (copy-on-first-write pre-images); redo ships the *post-image* of each
-  touched table, replayed by rebuilding the table (rows hold ``("v",
-  value)`` tuples, hence the tuple-safe encoding of
-  :mod:`repro.wal.record`);
-* **tarski** — the journal records old relation references per write;
-  redo ships the post-state of each touched relation (``member``,
-  ``value:P``, ``edge:λ``).
+redo operations — what recovery must re-apply on top of a checkpoint.
+The served store's journal already is an operation log: each store
+entry maps 1:1 to a redo op (``add_node`` / ``remove_node`` /
+``set_print`` / ``add_edge`` / ``remove_edge``), replayed through the
+raw :class:`~repro.graph.store.GraphStore` mutators.  Section 5's
+relational and Tarski engines keep their own undo journals as library
+code; they are not served, so nothing logs or replays them.
 
 Scheme changes ride along as a single ``scheme`` op holding the
 post-commit scheme document.  Every commit record also carries the
-backend's id counter so recovered stores keep numbering where the
+store's id counter so recovered stores keep numbering where the
 crashed process stopped.
 
 ``UNDO`` is logged the same way: its transaction's journal records the
@@ -42,7 +35,7 @@ from repro.io.serialize import (
     scheme_from_json,
     scheme_to_json,
 )
-from repro.wal.record import WalFormatError, dejsonify, jsonify
+from repro.wal.record import WalFormatError
 
 
 # ----------------------------------------------------------------------
@@ -51,25 +44,14 @@ from repro.wal.record import WalFormatError, dejsonify, jsonify
 
 
 def get_next_id(database: Any) -> int:
-    """The backend's id counter (node id / oid) right now."""
-    if database.backend == "native":
-        return database.session.instance._store._next_id
-    if database.backend == "relational":
-        return database.target.layout._next_oid
-    return database.target._next_oid
+    """The store's node id counter right now."""
+    return database.session.instance._store._next_id
 
 
 def set_next_id(database: Any, value: int) -> None:
     """Reinstall a recovered id counter (never moves it backwards)."""
-    if database.backend == "native":
-        store = database.session.instance._store
-        store._next_id = max(store._next_id, value)
-    elif database.backend == "relational":
-        layout = database.target.layout
-        layout._next_oid = max(layout._next_oid, value)
-    else:
-        engine = database.target
-        engine._next_oid = max(engine._next_oid, value)
+    store = database.session.instance._store
+    store._next_id = max(store._next_id, value)
 
 
 # ----------------------------------------------------------------------
@@ -79,12 +61,7 @@ def set_next_id(database: Any, value: int) -> None:
 
 def extract_redo(database: Any, journal: Any) -> List[Dict[str, Any]]:
     """Derive redo ops from a still-open committed undo ``journal``."""
-    if database.backend == "native":
-        ops = _native_redo(journal)
-    elif database.backend == "relational":
-        ops = _relational_redo(database, journal)
-    else:
-        ops = _tarski_redo(database, journal)
+    ops = _native_redo(journal)
     if journal.scheme_dirty():
         ops.append({"op": "scheme", "scheme": scheme_to_json(database.scheme)})
     return ops
@@ -134,65 +111,6 @@ def _native_redo(journal: Any) -> List[Dict[str, Any]]:
     return ops
 
 
-def _relational_redo(database: Any, journal: Any) -> List[Dict[str, Any]]:
-    touched: List[str] = []
-    for entry in journal.entries:
-        tag = entry[0]
-        if tag in ("table", "create", "drop") and entry[1] not in touched:
-            touched.append(entry[1])
-    db = database.target.layout.db
-    ops: List[Dict[str, Any]] = []
-    for name in touched:
-        if db.has_table(name):
-            table = db.table(name)
-            ops.append(
-                {
-                    "op": "table",
-                    "name": name,
-                    "columns": list(table.columns),
-                    "key": table.key,
-                    "indexes": sorted(table._indexes),
-                    "rows": [jsonify(row) for row in table.rows()],
-                }
-            )
-        else:
-            ops.append({"op": "drop_table", "name": name})
-    return ops
-
-
-def _tarski_redo(database: Any, journal: Any) -> List[Dict[str, Any]]:
-    member_touched = False
-    value_labels: List[str] = []
-    edge_labels: List[str] = []
-    for entry in journal.entries:
-        tag = entry[0]
-        if tag == "member":
-            member_touched = True
-        elif tag == "value" and entry[1] not in value_labels:
-            value_labels.append(entry[1])
-        elif tag == "edges" and entry[1] not in edge_labels:
-            edge_labels.append(entry[1])
-    engine = database.target
-    ops: List[Dict[str, Any]] = []
-    if member_touched:
-        ops.append({"op": "member", "pairs": _pairs(engine.member)})
-    for label in value_labels:
-        if label in engine.values:
-            ops.append({"op": "value", "label": label, "pairs": _pairs(engine.values[label])})
-        else:
-            ops.append({"op": "del_value", "label": label})
-    for label in edge_labels:
-        if label in engine.edges:
-            ops.append({"op": "edges", "label": label, "pairs": _pairs(engine.edges[label])})
-        else:
-            ops.append({"op": "del_edges", "label": label})
-    return ops
-
-
-def _pairs(relation: Any) -> List[Any]:
-    return [jsonify(pair) for pair in sorted(relation, key=repr)]
-
-
 # ----------------------------------------------------------------------
 # replay (recovery time)
 # ----------------------------------------------------------------------
@@ -224,32 +142,10 @@ def apply_reset(database: Any, record: Dict[str, Any]) -> None:
 
 
 def replace_state(database: Any, instance: Instance) -> None:
-    """Swap a database's backend state for ``instance`` wholesale."""
-    if database.backend == "native":
-        from repro.interactive import Session
+    """Swap a database's state for ``instance`` wholesale."""
+    from repro.interactive import Session
 
-        database.session = Session(instance)
-    elif database.backend == "relational":
-        from repro.storage.engine import RelationalEngine
-
-        database._engine = RelationalEngine.from_instance(instance)
-    else:
-        from repro.tarski.engine import TarskiEngine
-
-        database._engine = TarskiEngine.from_instance(instance)
-
-
-def _apply_op(database: Any, op: Dict[str, Any], interns: Dict[str, str]) -> None:
-    kind = op.get("op")
-    if kind == "scheme":
-        database.scheme.restore_from(scheme_from_json(op["scheme"]))
-        return
-    if database.backend == "native":
-        _apply_native(database, kind, op, interns)
-    elif database.backend == "relational":
-        _apply_relational(database, kind, op)
-    else:
-        _apply_tarski(database, kind, op)
+    database.session = Session(instance)
 
 
 def _op_label(op: Dict[str, Any], interns: Dict[str, str]) -> str:
@@ -274,7 +170,11 @@ def _op_label(op: Dict[str, Any], interns: Dict[str, str]) -> str:
         ) from None
 
 
-def _apply_native(database: Any, kind: str, op: Dict[str, Any], interns: Dict[str, str]) -> None:
+def _apply_op(database: Any, op: Dict[str, Any], interns: Dict[str, str]) -> None:
+    kind = op.get("op")
+    if kind == "scheme":
+        database.scheme.restore_from(scheme_from_json(op["scheme"]))
+        return
     store = database.session.instance._store
     if kind == "add_node":
         store.add_node(_op_label(op, interns), op.get("print", NO_PRINT), node_id=op["id"])
@@ -288,42 +188,3 @@ def _apply_native(database: Any, kind: str, op: Dict[str, Any], interns: Dict[st
         store.remove_edge(op["source"], _op_label(op, interns), op["target"])
     else:
         raise WalFormatError(f"unknown native redo op {kind!r}")
-
-
-def _apply_relational(database: Any, kind: str, op: Dict[str, Any]) -> None:
-    db = database.target.layout.db
-    if kind == "table":
-        if db.has_table(op["name"]):
-            db.drop_table(op["name"])
-        table = db.create_table(op["name"], list(op["columns"]), op.get("key"))
-        for row in op["rows"]:
-            table.insert(dejsonify(row))
-        for column in op.get("indexes", ()):
-            table.create_index(column)
-    elif kind == "drop_table":
-        if db.has_table(op["name"]):
-            db.drop_table(op["name"])
-    else:
-        raise WalFormatError(f"unknown relational redo op {kind!r}")
-
-
-def _apply_tarski(database: Any, kind: str, op: Dict[str, Any]) -> None:
-    from repro.tarski.algebra import BinaryRelation
-
-    engine = database.target
-    if kind == "member":
-        engine.member = BinaryRelation(_decode_pairs(op["pairs"]))
-    elif kind == "value":
-        engine.values[op["label"]] = BinaryRelation(_decode_pairs(op["pairs"]))
-    elif kind == "del_value":
-        engine.values.pop(op["label"], None)
-    elif kind == "edges":
-        engine.edges[op["label"]] = BinaryRelation(_decode_pairs(op["pairs"]))
-    elif kind == "del_edges":
-        engine.edges.pop(op["label"], None)
-    else:
-        raise WalFormatError(f"unknown tarski redo op {kind!r}")
-
-
-def _decode_pairs(pairs: List[Any]) -> List[Any]:
-    return [tuple(dejsonify(pair)) for pair in pairs]

@@ -29,7 +29,7 @@ def people_scheme() -> Scheme:
 
 def make_server() -> GoodServer:
     catalog = Catalog()
-    catalog.add("people", Instance(people_scheme()), backend="native")
+    catalog.add("people", Instance(people_scheme()))
     return GoodServer(catalog)
 
 

@@ -4,7 +4,7 @@ verify the durability contract.
 The contract, per crash site:
 
 * a commit **acknowledged** to the client is present after recovery —
-  always, at every site, on every backend;
+  always, at every site;
 * a commit that died **before its record was durable**
   (``wal.append.before``, ``wal.append.torn``, ``wal.fsync.before``)
   is absent after recovery — the client never got an ack, so absence
@@ -39,8 +39,6 @@ from repro.wal import DataDirLockedError, WalFormatError, recover_catalog
 from repro.wal.checkpoint import checkpoint_name, segment_name
 
 pytestmark = pytest.mark.faults
-
-BACKENDS = ("native", "relational", "tarski")
 
 #: site -> is the in-flight commit present after recovery?
 CRASH_SITES = {
@@ -110,14 +108,13 @@ def recovered_names(root, name):
 
 
 class TestCrashSiteSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("site", sorted(CRASH_SITES))
-    def test_acked_present_unacked_by_site(self, tmp_path, backend, site):
+    def test_acked_present_unacked_by_site(self, tmp_path, site):
         root = tmp_path / "data"
         served = Served(root)
         try:
             with served.client() as client:
-                client.create("g", backend=backend, scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
                 client.use("g")
                 acked = add_person(client, "acked")
                 acked_counts = (acked["nodes"], acked["edges"])
@@ -139,9 +136,9 @@ class TestCrashSiteSweep:
         if CRASH_SITES[site]:
             # durable-but-unacked: the record was fsynced before the
             # crash, so recovery must keep it
-            assert counts > acked_counts, (site, backend, counts)
+            assert counts > acked_counts, (site, counts)
         else:
-            assert counts == acked_counts, (site, backend, counts)
+            assert counts == acked_counts, (site, counts)
             assert entry["torn_records"] == (1 if site == "wal.append.torn" else 0)
 
     @pytest.mark.parametrize("site", sorted(CRASH_SITES))
@@ -152,7 +149,7 @@ class TestCrashSiteSweep:
         served = Served(root)
         try:
             with served.client() as client:
-                client.create("g", backend="native", scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
                 client.use("g")
                 add_person(client, "kept")
                 add_person(client, "undone")
@@ -173,14 +170,13 @@ class TestCrashSiteSweep:
         expected = ["kept"] if CRASH_SITES[site] else ["kept", "last"]
         assert recovered_names(root, "g") == expected, site
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_aborted_run_is_never_resurrected(self, tmp_path, backend):
+    def test_aborted_run_is_never_resurrected(self, tmp_path):
         """A program that fails its own atomic run writes no WAL record
         at all — recovery cannot resurrect it."""
         root = tmp_path / "data"
         with Served(root) as served:
             with served.client() as client:
-                client.create("g", backend=backend, scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
                 client.use("g")
                 acked = add_person(client, "kept")
                 acked_counts = (acked["nodes"], acked["edges"])
@@ -205,7 +201,7 @@ class TestCheckpointCrashes:
         served = Served(root)
         try:
             with served.client() as client:
-                client.create("g", backend="native", scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
                 client.use("g")
                 add_person(client, "one")
                 result = add_person(client, "two")
@@ -227,7 +223,7 @@ class TestCheckpointCrashes:
         root = tmp_path / "data"
         with Served(root) as served:
             with served.client() as client:
-                client.create("g", backend="native", scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
                 client.use("g")
                 add_person(client, "one")
                 info = client.checkpoint()
@@ -263,7 +259,7 @@ class TestCorruptCheckpoint:
         root = tmp_path / "data"
         with Served(root) as served:
             with served.client() as client:
-                client.create("g", backend="native", scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
                 client.use("g")
                 add_person(client, "one")
                 add_person(client, "two")
@@ -289,7 +285,7 @@ class TestCorruptSegment:
         root = tmp_path / "data"
         with Served(root) as served:
             with served.client() as client:
-                client.create("g", backend="native", scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
                 client.use("g")
                 for name in ("one", "two", "three"):
                     add_person(client, name)
@@ -328,7 +324,7 @@ class TestCheckpointCommitRaces:
         served = Served(root)
         try:
             with served.client() as client:
-                client.create("g", backend="native", scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
                 client.use("g")
                 add_person(client, "one")
                 assert client.checkpoint()["epoch"] == 1
@@ -360,7 +356,7 @@ class TestCheckpointCommitRaces:
         workers, per_worker = 4, 5
         with Served(root, checkpoint_bytes=1) as served:
             with served.client() as client:
-                client.create("g", backend="native", scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
             errors = []
             barrier = threading.Barrier(workers)
 
@@ -393,7 +389,7 @@ class TestGroupCommit:
         workers = 6
         with Served(root, policy="group:5") as served:
             with served.client() as client:
-                client.create("g", backend="native", scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
             errors = []
             barrier = threading.Barrier(workers)
 
@@ -428,7 +424,7 @@ class TestUndoDurability:
         root = tmp_path / "data"
         with Served(root) as served:
             with served.client() as client:
-                client.create("g", backend="native", scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
                 client.use("g")
                 add_person(client, "keep")
                 add_person(client, "drop")
@@ -444,7 +440,7 @@ class TestUndoDurability:
         root = tmp_path / "data"
         with Served(root) as served:
             with served.client() as client:
-                client.create("g", backend="native", scheme=scheme_doc())
+                client.create("g", scheme=scheme_doc())
                 client.use("g")
                 add_person(client, "kept")
         with Served(root) as served:
@@ -467,15 +463,14 @@ class TestDataDirLock:
 
 
 class TestRestartCycles:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_state_accumulates_across_restarts(self, tmp_path, backend):
+    def test_state_accumulates_across_restarts(self, tmp_path):
         root = tmp_path / "data"
         expected = None
         for round_ in range(3):
             with Served(root) as served:
                 with served.client() as client:
                     if round_ == 0:
-                        client.create("g", backend=backend, scheme=scheme_doc())
+                        client.create("g", scheme=scheme_doc())
                     client.use("g")
                     if expected is not None:
                         described = client.use("g")["using"]

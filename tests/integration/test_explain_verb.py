@@ -1,10 +1,10 @@
 """Integration tests: the EXPLAIN verb and the planner counters,
-driven through :class:`GoodClient` against all three backends.
+driven through :class:`GoodClient`.
 
-EXPLAIN must round-trip a plan description for a DSL pattern on every
-backend, and the per-database ``STATS`` buckets must pick up the
-planner's cache-hit/miss and index-probe tallies from both EXPLAIN and
-MATCH requests.
+EXPLAIN must round-trip a plan description for a DSL pattern, and the
+per-database ``STATS`` buckets must pick up the planner's
+cache-hit/miss and index-probe tallies from both EXPLAIN and MATCH
+requests.
 """
 
 from __future__ import annotations
@@ -37,22 +37,20 @@ def people_instance() -> Instance:
 
 @pytest.fixture
 def served():
-    """One running server with the same data on all three backends."""
+    """One running server over one 'people' database."""
     catalog = Catalog()
-    for backend in ("native", "relational", "tarski"):
-        catalog.add(backend, people_instance(), backend=backend)
+    catalog.add("people", people_instance())
     server = GoodServer(catalog, max_concurrent=4, max_queue=64)
     with BackgroundServer(server):
         host, port = server.address
         yield server, host, port
 
 
-@pytest.mark.parametrize("backend", ["native", "relational", "tarski"])
-def test_explain_round_trips_a_plan(served, backend):
+def test_explain_round_trips_a_plan(served):
     _, host, port = served
     with GoodClient(host, port) as client:
-        explained = client.explain(PATTERN, db=backend)
-        assert explained["backend"] == backend
+        explained = client.explain(PATTERN, db="people")
+        assert explained["backend"] == "native"
         assert explained["crossed_extensions"] == 0
         assert set(explained["bindings"]) == {"x", "y"}
         text = explained["text"]
@@ -67,38 +65,35 @@ def test_explain_round_trips_a_plan(served, backend):
 
 
 def test_explain_cache_hit_on_native_backend(served):
-    """The native backend serves the live instance, so the second
-    EXPLAIN of the same pattern is answered from the plan cache."""
+    """EXPLAIN plans on the live instance, so the second EXPLAIN of the
+    same pattern is answered from the plan cache."""
     _, host, port = served
     with GoodClient(host, port) as client:
-        first = client.explain(PATTERN, db="native")
-        second = client.explain(PATTERN, db="native")
+        first = client.explain(PATTERN, db="people")
+        second = client.explain(PATTERN, db="people")
         assert not first["cached"]
         assert second["cached"]
-        stats = client.stats()["databases"]["native"]
+        stats = client.stats()["databases"]["people"]
         assert stats["plan_cache_hits"] >= 1
         assert stats["plan_cache_misses"] >= 1
 
 
-@pytest.mark.parametrize("backend", ["native", "relational", "tarski"])
-def test_match_agrees_across_backends(served, backend):
+def test_match_counts_its_matchings(served):
     _, host, port = served
     with GoodClient(host, port) as client:
-        found = client.match(PATTERN, db=backend)
+        found = client.match(PATTERN, db="people")
         assert found["total"] == 2
-        stats = client.stats()["databases"][backend]
+        stats = client.stats()["databases"]["people"]
         assert stats["matchings_enumerated"] == 2
 
 
 def test_native_match_charges_planner_counters(served):
     """The native matcher runs through the planner executor, so MATCH
-    accounts its index probes and plan-cache traffic; the engines match
-    on their own substrate (SQL joins / relation algebra) and leave the
-    planner counters untouched."""
+    accounts its index probes and plan-cache traffic."""
     _, host, port = served
     with GoodClient(host, port) as client:
-        client.match(PATTERN, db="native")
-        stats = client.stats()["databases"]["native"]
+        client.match(PATTERN, db="people")
+        stats = client.stats()["databases"]["people"]
         assert stats["index_probes"] >= 1
         assert stats["plan_cache_hits"] + stats["plan_cache_misses"] >= 1
 
@@ -107,7 +102,7 @@ def test_explain_invalid_pattern_is_structured(served):
     _, host, port = served
     with GoodClient(host, port) as client:
         with pytest.raises(RemoteError) as excinfo:
-            client.explain("{ x: Nope }", db="native")
+            client.explain("{ x: Nope }", db="people")
         assert excinfo.value.code == "PARSE"
 
 
@@ -126,13 +121,12 @@ def test_stats_snapshot_carries_planner_keys(served):
             assert key in total
 
 
-@pytest.mark.parametrize("backend", ["native", "relational", "tarski"])
-def test_explain_reports_the_join_strategy(served, backend):
-    """EXPLAIN surfaces the planner's strategy decision on every
-    backend; a sparse acyclic pattern is a left-deep pipeline."""
+def test_explain_reports_the_join_strategy(served):
+    """EXPLAIN surfaces the planner's strategy decision; a sparse
+    acyclic pattern is a left-deep pipeline."""
     _, host, port = served
     with GoodClient(host, port) as client:
-        explained = client.explain(PATTERN, db=backend)
+        explained = client.explain(PATTERN, db="people")
         assert explained["strategy"] == "left-deep"
         assert explained["plan"]["strategy"] == "left-deep"
         assert "strategy=left-deep" in explained["text"]
@@ -156,22 +150,20 @@ def dense_people_instance() -> Instance:
     return db
 
 
-@pytest.mark.parametrize("backend", ["native", "relational", "tarski"])
-def test_dense_triangle_explains_as_multiway(backend):
+def test_dense_triangle_explains_as_multiway():
     """A cyclic pattern over a dense edge label routes to the multiway
-    discipline, and EXPLAIN says so on every backend."""
+    discipline, and EXPLAIN says so."""
     catalog = Catalog()
-    catalog.add(backend, dense_people_instance(), backend=backend)
+    catalog.add("dense", dense_people_instance())
     server = GoodServer(catalog, max_concurrent=2, max_queue=16)
     with BackgroundServer(server):
         host, port = server.address
         with GoodClient(host, port) as client:
-            explained = client.explain(TRIANGLE, db=backend)
+            explained = client.explain(TRIANGLE, db="dense")
             assert explained["strategy"] == "multiway"
             assert "MultiwayIntersect" in explained["text"]
-            if backend == "native":
-                found = client.match(TRIANGLE, db=backend)
-                assert found["total"] > 0
-                stats = client.stats()["databases"][backend]
-                assert stats["intersections"] > 0
-                assert stats["index_builds"] >= 1
+            found = client.match(TRIANGLE, db="dense")
+            assert found["total"] > 0
+            stats = client.stats()["databases"]["dense"]
+            assert stats["intersections"] > 0
+            assert stats["index_builds"] >= 1

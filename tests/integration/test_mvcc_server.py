@@ -7,12 +7,14 @@ Two contracts beyond what ``test_server.py`` already covers:
   the instrumented :class:`WriteMutex` observes zero acquisitions
   across all five verbs;
 * **liveness** — a ``MATCH`` (a three-variable join over an
-  all-knowing clique) is held mid-enumeration by a gate after its first
-  matching, and the first 10 of 50 commits must be acknowledged before
-  the test opens the gate; the other 40 race the MATCH's enumeration of
-  the pinned snapshot.  Neither side waits for the other, and the MATCH
-  still returns the exact pin-time count.  The gate, not the
-  executor's speed, sets the overlap the assertions rely on.
+  all-knowing clique) is held by a gate, first after it pins its
+  snapshot and then mid-enumeration after its first matching, and the
+  first 10 of 50 commits must be acknowledged while it is held; the
+  other 40 race the MATCH's enumeration of the pinned snapshot.
+  Neither side waits for the other, and the MATCH still returns the
+  exact pin-time count, which differs from the live count the commits
+  leave behind.  The gate, not the executor's speed, sets the overlap
+  the assertions rely on.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ GATE_TIMEOUT = 10.0
 #: its gate; the rest of the 50 then run against the live enumeration.
 GATED_COMMITS = 10
 
+#: Of those, the commits acknowledged after the MATCH pinned its
+#: snapshot and before it started enumerating: they change what a MATCH
+#: reading live state would count.  The executor captures the store's
+#: adjacency views when an enumeration starts, so commits that land only
+#: mid-enumeration cannot tell a pinned read from a live one.
+PINNED_COMMITS = 5
+
 
 def people_scheme() -> Scheme:
     scheme = Scheme(printable_labels=["String"])
@@ -50,7 +59,7 @@ def people_scheme() -> Scheme:
 @pytest.fixture
 def served():
     catalog = Catalog()
-    catalog.add("people", Instance(people_scheme()), backend="native")
+    catalog.add("people", Instance(people_scheme()))
     server = GoodServer(catalog, max_concurrent=8, max_queue=256)
     with BackgroundServer(server):
         host, port = server.address
@@ -123,19 +132,26 @@ def test_stats_surface_snapshot_and_lock_wait_counters(served):
 
 def test_long_match_overlaps_fifty_commits(served, monkeypatch):
     """Liveness both ways: 50 commits land against one pinned MATCH, the
-    first ten while it is held mid-enumeration and the rest while it
-    enumerates, and the MATCH answers with its pin-time state.
+    first ten while it is held and the rest while it enumerates, and the
+    MATCH answers with its pin-time state.
 
-    A gate on the session's ``find_any`` holds the MATCH after its first
-    matching until the first ``GATED_COMMITS`` commits are acknowledged,
-    so that overlap is set by the test's sequencing, not by how fast the
-    executor enumerates.  The gate then opens and the remaining commits
-    run while the MATCH enumerates the pinned snapshot on the CPU, which
-    races the commits against reads of state the live store shares with
-    its snapshots (the plan cache, copy-on-write columns).  Were the
-    writers queued behind the reader, no commit could be acknowledged,
-    the gate would be let go only by its timeout, and ``released`` would
-    be false."""
+    A gate on the session's ``find_any`` holds the MATCH twice: after it
+    pinned its snapshot, until ``PINNED_COMMITS`` commits are
+    acknowledged, and after its first matching, until ``GATED_COMMITS``
+    are, so that overlap is set by the test's sequencing, not by how fast
+    the executor enumerates.  The gate then opens and the remaining
+    commits run while the MATCH enumerates the pinned snapshot on the
+    CPU, which races the commits against reads of state the live store
+    shares with its snapshots (the plan cache, copy-on-write columns).
+    Were the writers queued behind the reader, no commit could be
+    acknowledged, the gate would be let go only by its timeouts, and
+    ``started``/``released`` would be false.
+
+    Each commit adds a ``p0 -knows->> w{i}`` edge, so the live state
+    ends with n³ + 50·n triples, and a MATCH that read live state would
+    count at least the ``PINNED_COMMITS``·n new ``p -knows->> p0
+    -knows->> w{i}`` triples in place when it started enumerating.
+    ``total == n**3`` therefore shows the pin-time state was read."""
     server, _, _ = served
     n = 60
     # GOOD node addition is set-semantics (no duplicate creation), so
@@ -153,6 +169,8 @@ def test_long_match_overlaps_fifty_commits(served, monkeypatch):
     database = server.catalog.get("people")
     triple = "{ p: Person; q: Person; r: Person; p -knows->> q; q -knows->> r }"
     outcome: dict = {}
+    pinned = threading.Event()
+    start = threading.Event()
     entered = threading.Event()
     release = threading.Event()
     # RUN matches through repro.core.operations, so only MATCH (and the
@@ -160,17 +178,20 @@ def test_long_match_overlaps_fifty_commits(served, monkeypatch):
     original_find_any = interactive_session.find_any
     calls = itertools.count()
 
-    def held(found):
-        found = iter(found)
+    def held(pattern, instance):
+        pinned.set()
+        outcome["started"] = start.wait(timeout=GATE_TIMEOUT)
+        found = iter(original_find_any(pattern, instance))
         yield next(found)
         entered.set()
         outcome["released"] = release.wait(timeout=GATE_TIMEOUT)
         yield from found
 
     def gated_find_any(pattern, instance):
-        found = original_find_any(pattern, instance)
         # only the MATCH under test is held; the final count is not
-        return held(found) if next(calls) == 0 else found
+        if next(calls) == 0:
+            return held(pattern, instance)
+        return original_find_any(pattern, instance)
 
     monkeypatch.setattr(interactive_session, "find_any", gated_find_any)
 
@@ -183,20 +204,29 @@ def test_long_match_overlaps_fifty_commits(served, monkeypatch):
     reader = threading.Thread(target=held_match)
     reader.start()
     try:
-        # the MATCH has pinned its snapshot and yielded one matching
-        if not entered.wait(timeout=30):
-            pytest.fail("MATCH never reached its first matching")
+        if not pinned.wait(timeout=30):
+            pytest.fail("MATCH never pinned its snapshot")
         assert database.snapshots.gauges()["snapshots_pinned"] == 1
         commit_times = []
         with connect(served) as writer:
             writer.use("people")
             for i in range(50):
-                writer.run('addnode Person(name -> n) {{ n: String = "w{}" }}'.format(i))
+                writer.run(
+                    'addnode Person(name -> n) {{ n: String = "w{0}" }}\n'
+                    'addedge {{ w: Person; m: String = "w{0}"; w -name-> m; '
+                    'p: Person; n: String = "p0"; p -name-> n }} add p -knows->> w'.format(i)
+                )
                 commit_times.append(time.perf_counter())
-                if len(commit_times) == GATED_COMMITS:
+                if len(commit_times) == PINNED_COMMITS:
+                    start.set()
+                    # the MATCH has pinned its snapshot and yielded one matching
+                    if not entered.wait(timeout=30):
+                        pytest.fail("MATCH never reached its first matching")
+                elif len(commit_times) == GATED_COMMITS:
                     # the rest of the commits race the live enumeration
                     release.set()
     finally:
+        start.set()
         release.set()
         reader.join()
 
@@ -205,17 +235,19 @@ def test_long_match_overlaps_fifty_commits(served, monkeypatch):
     assert outcome["found"]["total"] == n**3
     # the test opened the gate: the first GATED_COMMITS commits were
     # acknowledged while the MATCH was held, not after its gate timed out
-    assert outcome["released"]
+    assert outcome["started"] and outcome["released"]
     # liveness: the writers were not queued behind the reader (a
     # reader-writer lock would finish all 50 commits after the MATCH)
     commits_before_match_answered = sum(
         1 for finished in commit_times if finished < outcome["done_at"]
     )
     assert commits_before_match_answered >= 10
-    # the live side kept all its commits
+    # the live side kept all its commits, and they moved the triple
+    # count, so the n³ above is the pin-time state
     with connect(served) as checker:
         checker.use("people")
         assert checker.match("{ p: Person }")["total"] == n + 50
+        assert checker.match(triple, limit=1)["total"] == n**3 + 50 * n
 
 
 def test_version_chain_drains_after_readers_finish(served):

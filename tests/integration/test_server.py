@@ -43,7 +43,7 @@ def people_scheme() -> Scheme:
 def served():
     """A running server over one native 'people' database."""
     catalog = Catalog()
-    catalog.add("people", Instance(people_scheme()), backend="native")
+    catalog.add("people", Instance(people_scheme()))
     server = GoodServer(catalog, max_concurrent=8, max_queue=256)
     with BackgroundServer(server):
         host, port = server.address
@@ -70,11 +70,10 @@ def test_hello_list_use_round_trip(served):
         assert using["using"]["backend"] == "native"
 
 
-@pytest.mark.parametrize("backend", ["native", "relational", "tarski"])
-def test_run_match_query_on_every_backend(served, backend):
+def test_run_match_query_round_trip(served):
     with connect(served) as client:
-        name = f"db-{backend}"
-        created = client.create(name, backend=backend, scheme=scheme_to_json(people_scheme()))
+        name = "db"
+        created = client.create(name, scheme=scheme_to_json(people_scheme()))
         assert created["created"]["nodes"] == 0
         client.use(name)
         result = client.run(
@@ -210,7 +209,7 @@ def test_stats_expose_fixpoint_counters(served):
     per-database work split (full vs delta matchings, rounds) in STATS."""
     with connect(served) as client:
         name = "fixpoint"
-        client.create(name, backend="native", scheme=scheme_to_json(people_scheme()))
+        client.create(name, scheme=scheme_to_json(people_scheme()))
         client.use(name)
         program = "\n".join(
             [f'addnode Person(name -> n) {{ n: String = "p{i}" }}' for i in range(4)]
@@ -260,13 +259,25 @@ def test_stats_expose_txn_counters_after_aborted_run(served):
         assert client.match("{ p: Person }")["total"] == 1
 
 
-def test_undo_rejected_on_engine_backends(served):
+@pytest.mark.parametrize("backend", ["relational", "tarski"])
+def test_engine_backends_are_refused(served, tmp_path, backend):
+    """The Section 5 engines are library code: CREATE and LOAD naming
+    one fail with a CATALOG error naming the migration and add nothing."""
+    path = str(tmp_path / "people.json")
     with connect(served) as client:
-        client.create("rel", backend="relational", scheme=scheme_to_json(people_scheme()))
-        with pytest.raises(RemoteError) as info:
-            client.undo(db="rel")
-        assert info.value.code == "CATALOG"
-        client.drop("rel")
+        client.save(path, db="people")
+        listed = client.list()
+        requests = [
+            ("CREATE", {"name": "rel", "scheme": scheme_to_json(people_scheme())}),
+            ("LOAD", {"name": "rel", "path": path}),
+        ]
+        for verb, args in requests:
+            with pytest.raises(RemoteError) as info:
+                client.call(verb, backend=backend, **args)
+            assert info.value.code == "CATALOG"
+            message = str(info.value)
+            assert repr(backend) in message and "EXPORT" in message and "LOAD" in message
+        assert client.list() == listed
 
 
 def test_create_from_instance_document(served, tiny_instance):

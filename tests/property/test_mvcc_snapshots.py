@@ -4,7 +4,7 @@ The MVCC contract is that a pinned version is *bit-identical* for its
 whole lifetime: however many commits land on the live database after
 the pin, re-reading the snapshot yields exactly the state at pin time
 (empty :func:`~repro.graph.diff.graph_diff`, identical serialized
-document) — on every backend.
+document).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import Program
 from repro.core.errors import GoodError
@@ -24,7 +23,6 @@ from repro.workloads import random_basic_program
 from tests.property.strategies import scheme_instances, seeds
 
 SETTINGS = settings(max_examples=10, deadline=None)
-BACKENDS = ("native", "relational", "tarski")
 
 
 def _commit(database: ServedDatabase, operations) -> None:
@@ -36,10 +34,7 @@ def _commit(database: ServedDatabase, operations) -> None:
     """
     program = Program(list(operations))
     try:
-        if database.session is not None:
-            database.session.update(program)
-        else:
-            list(database.target.run(program.operations, atomic=True))
+        database.session.update(program)
     except GoodError:
         pass
     database.publish_version()
@@ -54,12 +49,12 @@ def _churn(database: ServedDatabase, rng: random.Random, rounds: int) -> None:
         _commit(database, operations)
 
 
-@given(scheme_instances(max_nodes=15, max_edges=25), seeds, st.sampled_from(BACKENDS))
+@given(scheme_instances(max_nodes=15, max_edges=25), seeds)
 @SETTINGS
-def test_pinned_snapshot_is_bit_identical_under_writer_churn(data, seed, backend):
+def test_pinned_snapshot_is_bit_identical_under_writer_churn(data, seed):
     scheme, instance = data
     rng = random.Random(seed)
-    database = ServedDatabase("db", instance.copy(), backend)
+    database = ServedDatabase("db", instance.copy())
     reader = database.read_view()
     pinned_doc = instance_to_json(reader.to_instance())
     pinned_store = reader.to_instance().store.copy()
@@ -72,14 +67,14 @@ def test_pinned_snapshot_is_bit_identical_under_writer_churn(data, seed, backend
         reader.release()
 
 
-@given(scheme_instances(max_nodes=12, max_edges=20), seeds, st.sampled_from(BACKENDS))
+@given(scheme_instances(max_nodes=12, max_edges=20), seeds)
 @SETTINGS
-def test_every_version_in_a_chain_stays_frozen(data, seed, backend):
+def test_every_version_in_a_chain_stays_frozen(data, seed):
     """Pin after every commit; at the end each pin still reads its own
     state, independent of every later (and earlier) version."""
     scheme, instance = data
     rng = random.Random(seed)
-    database = ServedDatabase("db", instance.copy(), backend)
+    database = ServedDatabase("db", instance.copy())
     readers, expected = [], []
     for _ in range(4):
         reader = database.read_view()
@@ -102,14 +97,14 @@ def test_every_version_in_a_chain_stays_frozen(data, seed, backend):
     assert database.snapshots.gauges()["version_chain_length"] == 1
 
 
-@given(scheme_instances(max_nodes=12, max_edges=20), seeds, st.sampled_from(BACKENDS))
+@given(scheme_instances(max_nodes=12, max_edges=20), seeds)
 @SETTINGS
-def test_snapshot_queries_match_pin_time_queries(data, seed, backend):
+def test_snapshot_queries_match_pin_time_queries(data, seed):
     """MATCH against the pinned reader equals MATCH at pin time, even
     after churn removed or added matching nodes."""
     scheme, instance = data
     rng = random.Random(seed)
-    database = ServedDatabase("db", instance.copy(), backend)
+    database = ServedDatabase("db", instance.copy())
     label = next(iter(scheme.object_labels))
     pattern = "{ x: %s }" % label
     reader = database.read_view()

@@ -258,8 +258,6 @@ def test_serve_parser_wiring():
             "a=a.json",
             "--db",
             "b=b.json",
-            "--backend",
-            "tarski",
             "-p",
             "9999",
             "--max-clients",
@@ -271,7 +269,6 @@ def test_serve_parser_wiring():
         ]
     )
     assert args.db == ["a=a.json", "b=b.json"]
-    assert args.backend == "tarski"
     assert args.port == 9999
     assert args.max_clients == 4
     assert args.queue == 16
@@ -296,6 +293,16 @@ def test_removed_wal_format_flag_is_rejected(capsys):
         main(["serve", "--wal-format", "binary"])
     assert serve_exit.value.code == 2
     assert "--wal-format" in capsys.readouterr().err
+
+
+def test_removed_backend_flag_is_rejected(capsys):
+    from repro.cli import build_parser
+
+    # parse only: were the flag accepted, main() would start serving
+    with pytest.raises(SystemExit) as serve_exit:
+        build_parser().parse_args(["serve", "--backend", "tarski"])
+    assert serve_exit.value.code == 2
+    assert "--backend" in capsys.readouterr().err
 
 
 def test_serve_rejects_bad_db_spec(capsys):
@@ -328,7 +335,7 @@ def test_connect_piped_session(tmp_path, capsys, monkeypatch):
     scheme = build_scheme()
     db, _ = build_instance(scheme)
     catalog = Catalog()
-    catalog.add("hyper", db, backend="native")
+    catalog.add("hyper", db)
     server = GoodServer(catalog)
     with BackgroundServer(server):
         host, port = server.address

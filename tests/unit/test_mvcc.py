@@ -1,7 +1,7 @@
 """Unit tests for the MVCC snapshot subsystem (repro.mvcc).
 
-Covers the registry's publish/pin/release/GC lifecycle, per-backend
-version capture, the read-only SnapshotReader facade, and the
+Covers the registry's publish/pin/release/GC lifecycle, version
+capture, the read-only SnapshotReader facade, and the
 epoch-keyed plan cache that lets a frozen snapshot share the live
 store's compiled plans.
 """
@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import Instance, Scheme
 from repro.dsl import parse_pattern
-from repro.mvcc import SnapshotRegistry, Version, capture_version
+from repro.mvcc import SnapshotRegistry, capture_version
 from repro.mvcc.registry import SnapshotError
 from repro.plan.cache import cached_plan_count, plan_for
 from repro.server.catalog import CatalogError, ServedDatabase
@@ -23,8 +23,8 @@ def people_scheme() -> Scheme:
     return scheme
 
 
-def served(backend: str = "native") -> ServedDatabase:
-    return ServedDatabase("db", Instance(people_scheme()), backend)
+def served() -> ServedDatabase:
+    return ServedDatabase("db", Instance(people_scheme()))
 
 
 ADD_ADA = 'addnode Person(name -> n) { n: String = "ada" }'
@@ -36,9 +36,13 @@ ADD_BOB = 'addnode Person(name -> n) { n: String = "bob" }'
 # ----------------------------------------------------------------------
 
 
-class FakeVersion(Version):
-    def __init__(self, epoch: int = 0, items: int = 0) -> None:
-        super().__init__(scheme=None, epoch=epoch, items=items)
+class FakeVersion:
+    """What the registry reads of a version."""
+
+    def __init__(self, items: int = 0) -> None:
+        self.pins = 0
+        self.sequence = 0
+        self.estimated_bytes = 64 * items
 
 
 def test_pin_before_publish_raises():
@@ -99,29 +103,21 @@ def test_current_version_release_does_not_gc():
     assert registry.gauges()["versions_gced"] == 0
 
 
-def test_next_epoch_is_monotone():
-    registry = SnapshotRegistry()
-    assert registry.next_epoch() < registry.next_epoch() < registry.next_epoch()
-
-
 # ----------------------------------------------------------------------
-# per-backend version capture
+# version capture
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["native", "relational", "tarski"])
-def test_capture_version_backend_and_items(backend):
-    database = served(backend)
+def test_capture_version_items():
+    database = served()
     database.run_program(ADD_ADA)
     version = capture_version(database)
-    assert version.backend == backend
-    assert version.items > 0
+    assert version.instance.node_count == 2
     assert version.estimated_bytes > 0
 
 
-@pytest.mark.parametrize("backend", ["native", "relational", "tarski"])
-def test_pinned_version_ignores_later_commits(backend):
-    database = served(backend)
+def test_pinned_version_ignores_later_commits():
+    database = served()
     database.run_program(ADD_ADA)
     reader = database.read_view()
     database.run_program(ADD_BOB)
@@ -131,9 +127,8 @@ def test_pinned_version_ignores_later_commits(backend):
     reader.release()
 
 
-@pytest.mark.parametrize("backend", ["native", "relational", "tarski"])
-def test_scheme_evolution_does_not_reach_old_versions(backend):
-    database = served(backend)
+def test_scheme_evolution_does_not_reach_old_versions():
+    database = served()
     database.run_program(ADD_ADA)
     reader = database.read_view()
     assert not reader.version.scheme.has_node_label("Admin")
@@ -148,9 +143,8 @@ def test_scheme_evolution_does_not_reach_old_versions(backend):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["native", "relational", "tarski"])
-def test_reader_serves_every_read_verb(backend):
-    database = served(backend)
+def test_reader_serves_every_read_verb():
+    database = served()
     database.run_program(ADD_ADA)
     with database.read_view() as reader:
         assert reader.matchings("{ p: Person }")["total"] == 1
@@ -164,9 +158,8 @@ def test_reader_serves_every_read_verb(backend):
     assert database.matchings("{ p: Person }")["total"] == 1
 
 
-@pytest.mark.parametrize("backend", ["native", "relational", "tarski"])
-def test_reader_rejects_writes(backend):
-    database = served(backend)
+def test_reader_rejects_writes():
+    database = served()
     with database.read_view() as reader:
         with pytest.raises(CatalogError):
             reader.run_program(ADD_ADA)
@@ -196,7 +189,7 @@ def test_undo_publishes_a_fresh_version():
 
 
 def test_concurrent_queries_on_one_version_are_isolated():
-    database = served("relational")
+    database = served()
     database.run_program(ADD_ADA)
     with database.read_view() as reader:
         first, _ = reader.query_program(ADD_BOB)

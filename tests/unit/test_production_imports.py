@@ -12,7 +12,9 @@ package).
 The expressiveness and figure reproductions (Turing machines,
 relational completeness, graph grammars, the hypermedia example) are
 not served either: only ``repro.cli`` may import them, for its figure
-and demo commands.
+and demo commands.  Nor are Section 5's relational and Tarski engines
+(``repro.storage``, ``repro.tarski``): they are library code, and no
+source file of the served packages names them.
 """
 
 import os
@@ -35,7 +37,16 @@ ENTRY_POINTS = (
 )
 
 
-NON_SERVED = ("repro.turing", "repro.relcomp", "repro.grammars", "repro.hypermedia")
+NON_SERVED = (
+    "repro.turing",
+    "repro.relcomp",
+    "repro.grammars",
+    "repro.hypermedia",
+    "repro.storage",
+    "repro.tarski",
+)
+
+SERVED_PACKAGES = ("server", "mvcc", "wal", "cluster")
 
 
 def loaded_modules(entry_points):
@@ -91,5 +102,15 @@ def test_no_production_source_names_the_plan_interpreter():
         for path in sorted(SRC.rglob("*.py"))
         if path.relative_to(SRC).parts[0] != "testing"
         and "interpret_plan" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_no_served_source_names_an_engine_package():
+    offenders = [
+        str(path.relative_to(SRC))
+        for package in SERVED_PACKAGES
+        for path in sorted((SRC / package).rglob("*.py"))
+        if any(name in path.read_text(encoding="utf-8") for name in ("repro.storage", "repro.tarski"))
     ]
     assert offenders == []

@@ -9,6 +9,7 @@ protocol, and the data directory's locking and atomic create/drop.
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
@@ -319,24 +320,26 @@ class TestCheckpoint:
         instance = Instance(small_scheme())
         oid = instance.add_object("Person")
         path = write_checkpoint(
-            tmp_path, 3, instance, backend="native", last_lsn=17, next_id=oid + 1
+            tmp_path, 3, instance, last_lsn=17, next_id=oid + 1
         )
         assert path.name == checkpoint_name(3)
         doc = load_checkpoint(path)
         assert doc["epoch"] == 3 and doc["last_lsn"] == 17
+        # the previous release reads this key
+        assert doc["backend"] == "native"
         from repro.io.serialize import instance_from_json
 
         assert instance_from_json(doc["instance"]).node_count == 1
 
     def test_crash_before_rename_leaves_old_intact(self, tmp_path):
         instance = Instance(small_scheme())
-        write_checkpoint(tmp_path, 1, instance, backend="native", last_lsn=0, next_id=0)
+        write_checkpoint(tmp_path, 1, instance, last_lsn=0, next_id=0)
         instance.add_object("Person")
         plan = faults.arm_crash("wal.checkpoint.written")
         try:
             with pytest.raises(faults.CrashError):
                 write_checkpoint(
-                    tmp_path, 2, instance, backend="native", last_lsn=5, next_id=1
+                    tmp_path, 2, instance, last_lsn=5, next_id=1
                 )
         finally:
             faults.disarm_crash(plan)
@@ -381,7 +384,7 @@ class TestDataDirectory:
     def test_create_is_atomic_and_listed(self, tmp_path):
         catalog, _ = recover_catalog(tmp_path / "data")
         try:
-            catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
+            catalog.create("g", scheme_data=scheme_to_json(small_scheme()))
             directory = catalog.durability
             assert directory.list_databases() == ["g"]
             root = directory.root / "g"
@@ -396,7 +399,7 @@ class TestDataDirectory:
     def test_drop_removes_directory(self, tmp_path):
         catalog, _ = recover_catalog(tmp_path / "data")
         try:
-            catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
+            catalog.create("g", scheme_data=scheme_to_json(small_scheme()))
             catalog.drop("g")
             assert catalog.durability.list_databases() == []
             assert not (tmp_path / "data" / "g").exists()
@@ -408,7 +411,7 @@ class TestDataDirectory:
         try:
             for name in ("../evil", ".hidden", "a/b", ""):
                 with pytest.raises((WalError, Exception)):
-                    catalog.create(name, backend="native", scheme_data=scheme_to_json(small_scheme()))
+                    catalog.create(name, scheme_data=scheme_to_json(small_scheme()))
             assert catalog.durability.list_databases() == []
         finally:
             catalog.close_durability()
@@ -443,7 +446,7 @@ class TestRecovery:
 
         root = tmp_path / "data"
         catalog, _ = recover_catalog(root)
-        catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
+        catalog.create("g", scheme_data=scheme_to_json(small_scheme()))
         database = catalog.get("g")
         self._commit(database, 'addnode Person() {}')
         image = instance_to_columnar_json(database.to_instance())
@@ -470,7 +473,7 @@ class TestRecovery:
     def test_stale_epoch_files_are_removed(self, tmp_path):
         root = tmp_path / "data"
         catalog, _ = recover_catalog(root)
-        catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
+        catalog.create("g", scheme_data=scheme_to_json(small_scheme()))
         database = catalog.get("g")
         self._commit(database, 'addnode Person() {}')
         database.checkpoint()
@@ -492,7 +495,7 @@ class TestRecovery:
     def test_recovery_report_summary_mentions_torn_tails(self, tmp_path):
         root = tmp_path / "data"
         catalog, _ = recover_catalog(root)
-        catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
+        catalog.create("g", scheme_data=scheme_to_json(small_scheme()))
         database = catalog.get("g")
         self._commit(database, 'addnode Person() {}')
         catalog.close_durability()
@@ -517,7 +520,7 @@ ADD_ANN = 'addnode Person(name -> n) { n: String = "ann" }'
 class TestUndoIsACommit:
     def _durable(self, root):
         catalog, _ = recover_catalog(root)
-        catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
+        catalog.create("g", scheme_data=scheme_to_json(small_scheme()))
         return catalog, catalog.get("g")
 
     @staticmethod
@@ -541,8 +544,9 @@ class TestUndoIsACommit:
             with counters.collect() as tally:
                 database.run_program(ADD_ANN)
                 self._wait(database)
-            # one scheme snapshot, two nodes, one edge: no nested journal
-            assert tally.txn_journal_entries == 4
+            # two nodes, one edge: no nested journal, and no scheme
+            # snapshot (the scheme already declares Person -name-> String)
+            assert tally.txn_journal_entries == 3
         finally:
             catalog.close_durability()
 
@@ -665,6 +669,70 @@ class TestUndoIsACommit:
 
 
 # ----------------------------------------------------------------------
+# scheme ops: logged only by commits that change the scheme
+# ----------------------------------------------------------------------
+
+
+class TestSchemeOps:
+    def _durable(self, root, scheme):
+        catalog, _ = recover_catalog(root)
+        database = catalog.create("g", scheme_data=scheme_to_json(scheme))
+        dirty = []
+        commit_journal = database.durability.commit_journal
+
+        def spy(owner, journal):
+            dirty.append(journal.scheme_dirty())
+            return commit_journal(owner, journal)
+
+        database.durability.commit_journal = spy
+        return catalog, database, dirty
+
+    @staticmethod
+    def _commit(database, source):
+        """Run ``source`` durably; the redo op names of its record."""
+        database.run_program(source)
+        database.take_ticket().wait(5.0)
+        segment = database.durability.directory / segment_name(database.durability.epoch)
+        records, _ = WalReader.tail(segment, 0)
+        return [op["op"] for op in records[-1]["redo"]]
+
+    def test_addnode_on_a_declared_property_logs_no_scheme(self, tmp_path):
+        catalog, database, dirty = self._durable(tmp_path / "data", small_scheme())
+        try:
+            ops = self._commit(database, ADD_ANN)
+            assert ops == ["interns", "add_node", "add_node", "add_edge"]
+            assert dirty == [False]
+        finally:
+            catalog.close_durability()
+
+    def test_addnode_adding_a_property_logs_the_scheme_everywhere(self, tmp_path):
+        from repro.cluster.replica import WalTailer
+        from repro.server.catalog import Catalog
+
+        scheme = small_scheme()
+        # both labels declared, the (Tag, of, Person) triple not yet in P
+        scheme.add_object_label("Tag")
+        scheme.add_functional_edge_label("of")
+        root = tmp_path / "data"
+        catalog, database, dirty = self._durable(root, scheme)
+        self._commit(database, "addnode Person() {}")
+        ops = self._commit(database, "addnode Tag(of -> p) { p: Person }")
+        assert ops[-1] == "scheme" and dirty == [False, True]
+        assert ("Tag", "of", "Person") in database.scheme.properties
+        tailer = WalTailer(Catalog(), [root])
+        tailer.poll_once()
+        catalog.close_durability()
+        recovered, _ = recover_catalog(root)
+        try:
+            expected = database.to_json()
+            assert tailer.errors == 0
+            assert tailer.catalog.get("g").to_json() == expected
+            assert recovered.get("g").to_json() == expected
+        finally:
+            recovered.close_durability()
+
+
+# ----------------------------------------------------------------------
 # corrupt segments: refused, never truncated
 # ----------------------------------------------------------------------
 
@@ -725,7 +793,7 @@ class TestCorruptSegment:
 
         root = tmp_path / "data"
         catalog, _ = recover_catalog(root)
-        catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
+        catalog.create("g", scheme_data=scheme_to_json(small_scheme()))
         database = catalog.get("g")
         for _ in range(3):
             database.run_program("addnode Person() {}")
@@ -749,7 +817,7 @@ class TestRetiredBinaryFormat:
     def test_scan_refuses_binary_segment(self, tmp_path):
         root = tmp_path / "data"
         catalog, _ = recover_catalog(root)
-        catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
+        catalog.create("g", scheme_data=scheme_to_json(small_scheme()))
         catalog.close_durability()
         segment = root / "g" / segment_name(0)
         data = self.binary_segment(segment)
@@ -773,11 +841,49 @@ class TestRetiredBinaryFormat:
         with pytest.raises(TypeError):
             WalWriter(tmp_path / "w.ndjson", "always", wal_format="text")
         with pytest.raises(TypeError):
-            DatabaseDurability(tmp_path, "g", "native", wal_format="text")
+            DatabaseDurability(tmp_path, "g", wal_format="text")
         with pytest.raises(TypeError):
             DataDirectory(tmp_path / "data", wal_format="text")
         with pytest.raises(TypeError):
             recover_catalog(tmp_path / "data", wal_format="text")
+
+
+class TestEngineDataDirectoryRefused:
+    """A directory an engine was served from is refused, untouched."""
+
+    def engine_data_dir(self, root):
+        catalog, _ = recover_catalog(root)
+        database = catalog.create("g", scheme_data=scheme_to_json(small_scheme()))
+        database.run_program(ADD_ANN)
+        database.take_ticket().wait(5.0)
+        catalog.close_durability()
+        meta = root / "g" / "meta.json"
+        meta.write_text(json.dumps({"format": 1, "name": "g", "backend": "tarski"}))
+        return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+    def test_recovery_refuses_an_engine_meta(self, tmp_path):
+        root = tmp_path / "data"
+        files = self.engine_data_dir(root)
+        with pytest.raises(WalFormatError) as failure:
+            recover_catalog(root)
+        message = str(failure.value)
+        assert message.startswith(f"{root / 'g'}: ")
+        assert "'tarski'" in message and "EXPORT" in message and "LOAD" in message
+        assert {path: path.read_bytes() for path in files} == files
+
+    def test_replica_resync_refuses_an_engine_meta(self, tmp_path):
+        from repro.cluster.replica import WalTailer
+        from repro.server.catalog import Catalog
+
+        root = tmp_path / "data"
+        files = self.engine_data_dir(root)
+        tailer = WalTailer(Catalog(), [root])
+        with pytest.raises(WalFormatError, match=re.escape(f"{root / 'g'}: ") + ".*'tarski'.*EXPORT"):
+            tailer._resync("g", root / "g")
+        # a polling replica counts it as an error and serves nothing
+        tailer.poll_once()
+        assert tailer.errors == 1 and "g" not in tailer.catalog
+        assert {path: path.read_bytes() for path in files} == files
 
 
 class TestRetiredStringLabels:
@@ -814,7 +920,7 @@ class TestColumnarCheckpoint:
 
         instance = self.build_instance()
         path = write_checkpoint(
-            tmp_path, 1, instance, backend="native", last_lsn=9, next_id=instance.store.next_id
+            tmp_path, 1, instance, last_lsn=9, next_id=instance.store.next_id
         )
         doc = load_checkpoint(path)
         assert doc["instance"]["format"] == 2
@@ -835,7 +941,7 @@ class TestColumnarCheckpoint:
         for left, right in zip(people, people[2:]):
             instance.add_edge(left, "knows", right)
         path = write_checkpoint(
-            tmp_path, 1, instance, backend="native", last_lsn=9, next_id=instance.store.next_id
+            tmp_path, 1, instance, last_lsn=9, next_id=instance.store.next_id
         )
         recovered = instance_from_json(load_checkpoint(path)["instance"])
         source = '{ s: String = "ada"; x: Person; y: Person; z: Person; x -name-> s; x -knows->> y; y -knows->> z; }'
