@@ -1,6 +1,6 @@
-"""Benchmarks for the compact columnar :class:`GraphStore`.
+"""Memory benchmark for the compact columnar :class:`GraphStore`.
 
-Two claims to certify, both against the retained dict-backed
+One claim to certify, against the retained dict-backed
 :class:`ReferenceGraphStore` (the pre-columnar implementation, kept as
 the equivalence oracle):
 
@@ -14,11 +14,6 @@ the equivalence oracle):
   ``store_bytes()`` gauge is archived too, with a ``byte_floors``
   ceiling that :mod:`benchmarks.check_floors` checks in the ≤
   direction.
-
-* **cold pattern match** — the CSR arrays *are* the store, so a cold
-  triangle match (fresh store, no warmed index) skips the sort-and-
-  build step the reference store pays in ``sorted_adjacency`` and must
-  come out ≥2× faster end to end.
 
 The two stores are built from the identical pseudo-random edge stream
 (regenerated from the seed rather than materialised, so both graphs
@@ -44,10 +39,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import Instance, Pattern, Scheme
 from repro.graph import NO_PRINT, GraphStore
 from repro.graph.columns import LABELS
-from repro.plan import compile_plan, execute_plan
 from repro.testing import ReferenceGraphStore
 
 RESULTS: dict = {"benchmarks": {}}
@@ -63,9 +56,8 @@ NODE_COUNT = int(os.environ.get("REPRO_BENCH_COLUMNAR_NODES", "1000000"))
 EDGE_ATTEMPTS = 2 * NODE_COUNT
 SEED = 2590
 
-#: archived floors — resident-bytes reduction and cold-match speedup
+#: archived floor — resident-bytes reduction
 MIN_BYTES_RATIO = 3.0
-MIN_COLD_SPEEDUP = 2.0
 
 #: per-element budget for the columnar store's own ``store_bytes()``
 #: gauge: three node columns + id map + membership (~56 B/node, with
@@ -73,13 +65,6 @@ MIN_COLD_SPEEDUP = 2.0
 #: (~64 B/edge including offset arrays and pending-set headroom).
 BYTES_PER_NODE_CAP = 120
 BYTES_PER_EDGE_CAP = 100
-
-
-def graph_scheme() -> Scheme:
-    scheme = Scheme(printable_labels=["V"])
-    scheme.declare("N", "name", "V")
-    scheme.declare("N", "e", "N", functional=False)
-    return scheme
 
 
 def edge_stream(n_nodes: int, attempts: int, seed: int):
@@ -94,8 +79,9 @@ def edge_stream(n_nodes: int, attempts: int, seed: int):
 def build_store(store_class):
     """Populate one store: ``NODE_COUNT`` object nodes, 17 printable
     ``V`` nodes, a sparse ``name`` edge (one object node per thousand
-    points at a value) and the shared dense ``e`` stream.  Returns
-    ``(store, build_s)``."""
+    points at a value and gets a planted ``e`` triangle, so the graph
+    matches earlier archived runs) and the shared dense ``e`` stream.
+    Returns ``(store, build_s)``."""
     store = store_class()
     started = time.perf_counter()
     for node in range(NODE_COUNT):
@@ -103,31 +89,12 @@ def build_store(store_class):
     values = [store.add_node("V", value) for value in range(17)]
     for node in range(0, NODE_COUNT, 1000):
         store.add_edge(node, "name", values[(node // 1000) % 17])
-        # plant a triangle at every named node so the anchored match
-        # has a non-trivial answer to agree on
         store.add_edge(node, "e", node + 1)
         store.add_edge(node + 1, "e", node + 2)
         store.add_edge(node, "e", node + 2)
     for source, target in edge_stream(NODE_COUNT, EDGE_ATTEMPTS, SEED):
         store.add_edge(source, "e", target)
     return store, time.perf_counter() - started
-
-
-def triangle_pattern(scheme: Scheme) -> Pattern:
-    """A value-anchored triangle: ``x`` must name the ``V`` node with
-    print 0, so the enumeration itself is cheap and the *cold* cost is
-    dominated by what it takes to get the adjacency machinery
-    query-ready — exactly the step the columnar store never pays (its
-    CSR arrays are the primary representation) and the reference store
-    pays in full (sort every edge pair, build both CSR directions)."""
-    pattern = Pattern(scheme)
-    v = pattern.node("V", 0)
-    x, y, z = (pattern.node("N") for _ in range(3))
-    pattern.edge(x, "name", v)
-    pattern.edge(x, "e", y)
-    pattern.edge(y, "e", z)
-    pattern.edge(x, "e", z)
-    return pattern
 
 
 def deep_sizeof(root) -> int:
@@ -164,31 +131,17 @@ def deep_sizeof(root) -> int:
     return total
 
 
-def cold_triangle_match(store):
-    """Compile and run the triangle pattern against a *cold* store —
-    no warmed adjacency — timing the end-to-end match."""
-    scheme = graph_scheme()
-    instance = Instance(scheme, _store=store)
-    pattern = triangle_pattern(scheme)
-    plan = compile_plan(pattern, instance, strategy="multiway")
-    started = time.perf_counter()
-    matchings = list(execute_plan(plan, pattern, instance))
-    elapsed = time.perf_counter() - started
-    return elapsed, len(matchings)
-
-
 @pytest.fixture(scope="module", autouse=True)
 def write_results():
     yield
     OUT_PATH.write_text(json.dumps(RESULTS, indent=2, sort_keys=True) + "\n")
 
 
-def test_columnar_store_bytes_and_cold_match():
-    # --- reference store first: measure, match, release -------------
+def test_columnar_store_bytes():
+    # --- reference store first: measure, release ---------------------
     reference, reference_build_s = build_store(ReferenceGraphStore)
     reference_bytes = deep_sizeof(reference)
     reference_edges = reference.edge_count
-    reference_cold_s, reference_triangles = cold_triangle_match(reference)
     del reference
     gc.collect()
 
@@ -196,38 +149,27 @@ def test_columnar_store_bytes_and_cold_match():
     columnar, columnar_build_s = build_store(GraphStore)
     columnar_bytes = deep_sizeof(columnar) + LABELS.table_bytes()
     assert columnar.edge_count == reference_edges
-    columnar_cold_s, columnar_triangles = cold_triangle_match(columnar)
-    assert columnar_triangles == reference_triangles
 
     self_reported = columnar.store_bytes()
     bytes_ratio = reference_bytes / columnar_bytes
-    speedup = reference_cold_s / columnar_cold_s if columnar_cold_s else None
     byte_cap = NODE_COUNT * BYTES_PER_NODE_CAP + reference_edges * BYTES_PER_EDGE_CAP
 
     RESULTS["benchmarks"][f"columnar-{NODE_COUNT}"] = {
         "nodes": NODE_COUNT,
         "edges": reference_edges,
-        "triangles": columnar_triangles,
         "reference_build_s": round(reference_build_s, 3),
         "columnar_build_s": round(columnar_build_s, 3),
         "reference_deep_bytes": reference_bytes,
         "columnar_deep_bytes": columnar_bytes,
         "store_bytes": self_reported,
         "bytes_ratio": round(bytes_ratio, 2),
-        "reference_cold_match_s": round(reference_cold_s, 3),
-        "columnar_cold_match_s": round(columnar_cold_s, 3),
-        "cold_match_speedup": round(speedup, 2) if speedup else None,
-        "floors": {"bytes_ratio": MIN_BYTES_RATIO, "cold_match_speedup": MIN_COLD_SPEEDUP},
+        "floors": {"bytes_ratio": MIN_BYTES_RATIO},
         "byte_floors": {"store_bytes": byte_cap},
     }
 
     assert bytes_ratio >= MIN_BYTES_RATIO, (
         f"columnar store only {bytes_ratio:.2f}x smaller "
         f"({reference_bytes} vs {columnar_bytes} bytes)"
-    )
-    assert speedup is not None and speedup >= MIN_COLD_SPEEDUP, (
-        f"cold triangle match only {speedup:.2f}x faster "
-        f"({reference_cold_s:.3f}s vs {columnar_cold_s:.3f}s)"
     )
     assert self_reported <= byte_cap, (
         f"store_bytes {self_reported} exceeds the {byte_cap} byte ceiling"

@@ -16,13 +16,6 @@ collector tallies, for everything executed while it is armed,
   outcomes (:mod:`repro.plan.cache`; a miss is a compilation);
 * ``index_probes`` — adjacency/edge-index reads the plan executor
   performed (:mod:`repro.plan.executor`);
-* ``index_builds`` — sorted-adjacency (CSR) indexes built lazily by
-  :meth:`repro.graph.store.GraphStore.sorted_adjacency`;
-* ``leapfrog_seeks`` — galloping seeks performed by the multiway
-  sorted-intersection operator (:mod:`repro.plan.leapfrog`); only the
-  reference step interpreter runs it, so served ``STATS`` report 0;
-* ``intersections`` — k-way intersections the executor ran (one per
-  ``MultiwayIntersect`` binding);
 * ``txn_journal_entries`` — inverse operations recorded by undo
   journals (:mod:`repro.txn.journal`) in completed transactions;
 * ``txn_snapshot_captures`` — full-state snapshots taken
@@ -62,9 +55,6 @@ class MatchCounters:
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     index_probes: int = 0
-    index_builds: int = 0
-    leapfrog_seeks: int = 0
-    intersections: int = 0
     txn_journal_entries: int = 0
     txn_snapshot_captures: int = 0
     txn_rollbacks: int = 0
@@ -85,9 +75,6 @@ class MatchCounters:
             "plan_cache_hits": self.plan_cache_hits,
             "plan_cache_misses": self.plan_cache_misses,
             "index_probes": self.index_probes,
-            "index_builds": self.index_builds,
-            "leapfrog_seeks": self.leapfrog_seeks,
-            "intersections": self.intersections,
             "txn_journal_entries": self.txn_journal_entries,
             "txn_snapshot_captures": self.txn_snapshot_captures,
             "txn_rollbacks": self.txn_rollbacks,
@@ -130,9 +117,6 @@ def charge(
     plan_cache_hits: int = 0,
     plan_cache_misses: int = 0,
     index_probes: int = 0,
-    index_builds: int = 0,
-    leapfrog_seeks: int = 0,
-    intersections: int = 0,
     txn_journal_entries: int = 0,
     txn_snapshot_captures: int = 0,
     txn_rollbacks: int = 0,
@@ -150,9 +134,6 @@ def charge(
         tally.plan_cache_hits += plan_cache_hits
         tally.plan_cache_misses += plan_cache_misses
         tally.index_probes += index_probes
-        tally.index_builds += index_builds
-        tally.leapfrog_seeks += leapfrog_seeks
-        tally.intersections += intersections
         tally.txn_journal_entries += txn_journal_entries
         tally.txn_snapshot_captures += txn_snapshot_captures
         tally.txn_rollbacks += txn_rollbacks

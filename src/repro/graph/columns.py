@@ -15,17 +15,15 @@ nodes cost megabytes instead of hundreds of megabytes of boxed objects:
   amortised per mutation).
 * :class:`EdgeColumn` — one edge label's adjacency as CSR arrays in
   *both* directions (targets grouped by source, sources grouped by
-  target) with the same pending-overlay discipline, so
-  ``sorted_adjacency`` is an O(1) wrap of the base arrays when the
-  overlay is empty instead of an O(E log E) rebuild per epoch.
+  target) with the same pending-overlay discipline, so the adjacency
+  is never rebuilt per statistics epoch.
 
 The read-side memos live on the columns too: per-node neighbour
 frozensets (:class:`SpanSets` over the base arrays, shared by every
 clone until a flush replaces the arrays, plus an :class:`OverlaySets`
 for the current overlay), and one frozenset of a column's whole
-contents.  Every mutation drops the memos that could have changed,
-exactly like :attr:`EdgeColumn.index`, so copying a column never
-copies a memo and a write costs O(changes).
+contents.  Every mutation drops the memos that could have changed, so
+copying a column never copies a memo and a write costs O(changes).
 
 Mutating methods must only ever be called by the store whose fork
 epoch the column's ``epoch`` carries; any other store first replaces
@@ -45,7 +43,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 #: Overlay merges trigger once the pending set outgrows
 #: ``max(_FLUSH_MIN, base_size >> _FLUSH_SHIFT)`` — proportional
@@ -484,10 +482,7 @@ class EdgeColumn:
 
     The forward arrays group targets by source; the reverse arrays
     group sources by target.  Both are maintained by linear merges, so
-    ``sorted_adjacency`` never re-sorts the whole label.  ``adjacency``
-    (the :class:`~repro.graph.adjacency.AdjacencyIndex` accessor) lives
-    on the store, which also handles COW cloning; see
-    :meth:`GraphStore.sorted_adjacency`.
+    no read re-sorts the whole label; the store handles COW cloning.
 
     The overlay is the pair sets ``add_set``/``del_set`` plus per-node
     buckets (``add_out``/``add_in``/``del_out``/``del_in``) holding
@@ -515,7 +510,6 @@ class EdgeColumn:
         "del_in",
         "count",
         "epoch",
-        "index",
         "out_sets",
         "in_sets",
         "_frozenset",
@@ -552,9 +546,6 @@ class EdgeColumn:
         self.rev_keys, self.rev_offs, self.rev_vals = rev
         self.out_sets = self.fwd_sets = SpanSets(*fwd)
         self.in_sets = self.rev_sets = SpanSets(*rev)
-        #: memoized AdjacencyIndex for the current contents (managed by
-        #: the store; invalidated on every mutation/flush)
-        self.index: Any = None
 
     # -- mutation (writer-owned columns only) ---------------------------
     def add(self, source: int, target: int) -> bool:
@@ -591,7 +582,7 @@ class EdgeColumn:
 
     def _changed(self) -> None:
         """Drop the memos a mutation stales; fold an outgrown overlay."""
-        self.index = self._frozenset = None
+        self._frozenset = None
         pending = len(self.add_set) + len(self.del_set)
         if pending > max(_FLUSH_MIN, len(self.fwd_vals) >> _FLUSH_SHIFT):
             self.flush()
@@ -742,7 +733,6 @@ class EdgeColumn:
         twin.del_out = dict(self.del_out)
         twin.del_in = dict(self.del_in)
         twin.count = self.count
-        twin.index = self.index
         twin._frozenset = self._frozenset
         twin._overlay_sets()
         return twin

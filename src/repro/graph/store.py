@@ -15,9 +15,8 @@ records:
   the external integer node-id API unchanged;
 * each edge label is one :class:`~repro.graph.columns.EdgeColumn` —
   CSR adjacency arrays in both directions, maintained incrementally by
-  bounded pending overlays and periodic linear merges, so
-  ``sorted_adjacency`` is O(1) warm instead of an epoch-keyed
-  O(E log E) rebuild;
+  bounded pending overlays and periodic linear merges, never an
+  epoch-keyed O(E log E) rebuild;
 * per-label node membership is a sorted
   :class:`~repro.graph.columns.IntColumn`, which also backs ``nodes()``
   iteration without re-sorting the whole id set per call.
@@ -68,7 +67,6 @@ from typing import (
 )
 
 from repro.core.errors import SerializationError
-from repro.graph.adjacency import AdjacencyIndex
 from repro.graph.columns import (
     EMPTY_ARRAY,
     EMPTY_SET,
@@ -265,7 +263,6 @@ class GraphStore:
         "_trackers",
         "_journals",
         # cached derived data
-        "_empty_adjacency",
         "_plan_cache",
         # copy-on-write state: this store's fork epoch and the epochs at
         # which it privatized the top-level dicts and the node columns
@@ -306,10 +303,6 @@ class GraphStore:
         # appends an inverse-describing entry to every journal so a
         # rollback can replay the changes in reverse
         self._journals: List[Any] = []
-        # label -> empty AdjacencyIndex for labels with no edge column;
-        # entries stay correct forever (a label that gains edges routes
-        # through its column instead), so the dict is freely shared
-        self._empty_adjacency: Dict[str, AdjacencyIndex] = {}
         # compiled-plan slot managed by repro.plan (per-store, not copied)
         self._plan_cache: Optional[Dict[Any, Any]] = None
         # --- copy-on-write state (see fork) ---
@@ -396,10 +389,9 @@ class GraphStore:
         print maps are privatized only by a write to a print, and the
         slot map holds only printable slots: a commit that adds an
         object node copies no container the size of the store for the
-        collector to walk.  Sorted-adjacency indexes
-        and frozenset views are memoized *on the shared columns*, so
-        both sides return the identical objects until the live side
-        writes to that column.
+        collector to walk.  Neighbour sets and frozenset views are
+        memoized *on the shared columns*, so both sides return the
+        identical objects until the live side writes to that column.
 
         The snapshot refuses every mutator; readers may use, fork or
         copy it concurrently without touching this store.  Trackers and
@@ -436,7 +428,6 @@ class GraphStore:
         clone._stats_epoch = self._stats_epoch
         clone._trackers = []
         clone._journals = []
-        clone._empty_adjacency = self._empty_adjacency
         # no shared container carries a fresh epoch, and no epoch is 0
         clone._epoch = next(_FORK_EPOCHS)
         clone._dicts_epoch = clone._nodes_epoch = clone._prints_epoch = 0
@@ -836,40 +827,11 @@ class GraphStore:
             label_name(elid) for elid, col in self._ecols.items() if col.count
         )
 
-    # ------------------------------------------------------------------
-    # sorted-adjacency arrays (worst-case-optimal join support)
-    # ------------------------------------------------------------------
-    def sorted_adjacency(self, label: str) -> AdjacencyIndex:
-        """The CSR sorted-adjacency index for ``label``.
-
-        The adjacency arrays *are* the primary edge representation, so
-        a warm call is an O(1) memoized wrap of the column's base
-        arrays; only an outstanding pending overlay costs a linear
-        merge (memoized until the next mutation of that label).  The
-        returned index is immutable and shared freely with MVCC forks;
-        see :mod:`repro.graph.adjacency`.
-        """
-        col = self._ecol_for(label)
-        if col is None:
-            index = self._empty_adjacency.get(label)
-            if index is None:
-                index = AdjacencyIndex(label, (), self._stats_epoch)
-                self._empty_adjacency[label] = index
-            return index
-        index = col.index
-        if index is None:
-            index = AdjacencyIndex.from_arrays(
-                label, self._stats_epoch, *col.merged_arrays()
-            )
-            col.index = index
-        return index
-
     def sorted_nodes_with_label(self, label: str) -> array:
         """All node ids carrying ``label`` as a sorted ``array('q')``.
 
         The maintained membership column itself (merged view) — O(1)
-        warm; the multiway join intersects this array directly so
-        candidate node ids come out label-checked for free.  Callers
+        warm; the executor iterates it as a scan node's seeds.  Callers
         must not mutate the returned array.
         """
         lid = lookup_label(label)

@@ -3,10 +3,12 @@
 Section 5 of the paper argues GOOD is implementable on a relational
 engine because pattern matching decomposes into joins over binary
 relations; this package is that observation applied to the native
-matcher.  A :class:`~repro.plan.steps.Plan` orders a pattern's edges
+matcher.  A :class:`~repro.plan.steps.Plan` orders a pattern's nodes
 into a left-deep index-join pipeline using the graph store's
-cardinality statistics, is cached per (pattern signature, statistics
-epoch), and is executed by :mod:`repro.plan.executor` — which is what
+cardinality statistics — each step binds one node by intersecting the
+neighbour sets of all its bound neighbours, a variable-at-a-time
+generic join — is cached per (pattern signature, statistics epoch),
+and is compiled and run by :mod:`repro.plan.executor`, which is what
 :func:`repro.core.matching.find_matchings` dispatches to by default.
 
 ::
@@ -25,15 +27,8 @@ from repro.core.instance import Instance
 from repro.core.pattern import NegatedPattern
 from repro.plan.cache import MAX_CACHED_PLANS, cached_plan_count, pattern_signature, plan_for
 from repro.plan.executor import execute_plan, planned_matchings
-from repro.plan.leapfrog import gallop, intersect_sorted
-from repro.plan.planner import (
-    MULTIWAY_MIN_FANOUT,
-    STRATEGIES,
-    choose_strategy,
-    compile_plan,
-    pattern_is_cyclic,
-)
-from repro.plan.steps import Extend, MultiwayIntersect, Plan, ScanEdges, ScanNodes, Verify
+from repro.plan.planner import compile_plan
+from repro.plan.steps import STRATEGY, Extend, Plan, ScanEdges, ScanNodes, Verify
 
 
 def explain_pattern(pattern, instance: Instance, fixed: Sequence[int] = ()) -> str:
@@ -58,22 +53,16 @@ def explain_pattern(pattern, instance: Instance, fixed: Sequence[int] = ()) -> s
 
 __all__ = [
     "MAX_CACHED_PLANS",
-    "MULTIWAY_MIN_FANOUT",
-    "STRATEGIES",
+    "STRATEGY",
     "Extend",
-    "MultiwayIntersect",
     "Plan",
     "ScanEdges",
     "ScanNodes",
     "Verify",
     "cached_plan_count",
-    "choose_strategy",
     "compile_plan",
     "execute_plan",
     "explain_pattern",
-    "gallop",
-    "intersect_sorted",
-    "pattern_is_cyclic",
     "pattern_signature",
     "plan_for",
     "planned_matchings",

@@ -9,18 +9,16 @@ maps — equivalence with the backtracking and textbook reference
 matchers, and content-and-order equality with the reference step
 interpreter kept with the test oracles, is property-tested.
 
-Every plan is *compiled*: left-deep or multiway, seeded or not.  The
-plan is code-generated into one nested-``for`` generator function with
-one loop per binding step.  Each ``Extend`` or ``MultiwayIntersect``
-becomes a chain of C-level frozenset intersections over the anchors'
-neighbour sets, each probe fetch and partial intersection hoisted to
-the loop level of its deepest anchor variable — the trie ordering of
-leapfrog triejoin — with an early ``continue`` as soon as a partial
-intersection comes up empty.  A ``ScanEdges`` step is one loop that
-binds both ends of its edge; ``Verify`` is one ``has_edge`` test.
-Multiway plans read the label's CSR span sets
-(:meth:`~repro.graph.store.GraphStore.sorted_adjacency`); every other
-probe reads the store's per-label, per-direction neighbour-set map
+Every plan is *compiled*, seeded or not: it is code-generated into one
+nested-``for`` generator function with one loop per binding step.
+Each ``Extend`` becomes a chain of C-level frozenset intersections
+over the anchors' neighbour sets, each probe fetch and partial
+intersection hoisted to the loop level of its deepest anchor variable
+(the trie ordering of a variable-at-a-time generic join), with an
+early ``continue`` as soon as a partial intersection comes up empty.
+A ``ScanEdges`` step is one loop that binds both ends of its edge;
+``Verify`` is one ``has_edge`` test.  Every probe reads the store's
+per-label, per-direction neighbour-set map
 (:meth:`~repro.graph.store.GraphStore.neighbour_sets`, memoized on the
 edge column itself), so a fixpoint round that mutates the store never
 forces an O(E log E) index rebuild.
@@ -47,10 +45,9 @@ what semi-naive delta rounds
 (:func:`repro.core.matching.find_matchings_delta`) call once per seed.
 
 Index probes (adjacency and edge-index reads, charged in bulk per
-loop from its trip count) and multiway intersections are tallied
-locally and charged to the thread-local :mod:`repro.core.counters`
-collectors when the generator finishes or is closed, so server
-``STATS`` sees them.
+loop from its trip count) are tallied locally and charged to the
+thread-local :mod:`repro.core.counters` collectors when the generator
+finishes or is closed, so server ``STATS`` sees them.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from repro.core.scheme import Scheme
 from repro.graph.columns import lookup_label
 from repro.graph.store import NO_PRINT
 from repro.plan.cache import plan_for
-from repro.plan.steps import Extend, MultiwayIntersect, Plan, ScanEdges, ScanNodes, Verify
+from repro.plan.steps import Extend, Plan, ScanEdges, ScanNodes, Verify
 
 #: A matching: pattern node id -> instance node id.
 Matching = Dict[int, int]
@@ -123,16 +120,16 @@ def _check(pattern: Pattern, node: int, implied: bool) -> str:
 def _checks(plan: Plan, pattern: Pattern, scheme: Scheme) -> Tuple[Any, ...]:
     """Per binding step, what the runner must test of each candidate.
 
-    An ``Extend``/``MultiwayIntersect`` candidate's label is implied
-    when any one of its probes admits only that label at its far end
-    (the candidates are a subset of every probe's neighbours).  A
-    ``ScanEdges`` end's label is implied when P admits only that label
-    at that end of the edge label, whatever the other end.
+    An ``Extend`` candidate's label is implied when any one of its
+    probes admits only that label at its far end (the candidates are a
+    subset of every probe's neighbours).  A ``ScanEdges`` end's label
+    is implied when P admits only that label at that end of the edge
+    label, whatever the other end.
     """
     codes: List[Any] = []
     for step in plan.steps:
         kind = type(step)
-        if kind is Extend or kind is MultiwayIntersect:
+        if kind is Extend:
             label = pattern.node_record(step.node).label
             implied = any(
                 _admits_only(
@@ -171,14 +168,12 @@ def _generate_runner(plan: Plan, checks: Sequence[Any]) -> Tuple[str, Tuple[Tupl
 
     ``_make(*values)`` returns the generator function
     ``_runner(fixed)``, one loop per ``ScanNodes``/``ScanEdges``/
-    ``Extend``/``MultiwayIntersect`` step (the latter two share the
-    intersection fold; only ``MultiwayIntersect`` counts as an
-    intersection).  Each probe operand is folded into a running partial
-    intersection at the loop level of its anchor variable, so work that
-    does not depend on the innermost variables happens once per outer
-    binding and an empty partial prunes the whole subtree early.  The
-    live data arrives as default arguments of ``_runner``, making every
-    hot-loop name a local.
+    ``Extend`` step.  Each probe operand is folded into a running
+    partial intersection at the loop level of its anchor variable, so
+    work that does not depend on the innermost variables happens once
+    per outer binding and an empty partial prunes the whole subtree
+    early.  The live data arrives as default arguments of ``_runner``,
+    making every hot-loop name a local.
 
     The specs name, per parameter, what :func:`seeded_runner`
     binds to it.  Raises :class:`ValueError` for a step that reads a
@@ -190,7 +185,6 @@ def _generate_runner(plan: Plan, checks: Sequence[Any]) -> Tuple[str, Tuple[Tupl
     regions: List[List[str]] = [[f"f{node} = fixed[{node}]" for node in plan.fixed]]
     loops: List[Tuple[str, str]] = []
     probes_in: List[int] = [0]
-    meets_in: List[int] = [0]
     names: Dict[Tuple[str, Any], str] = {}
     depth = 0
 
@@ -212,7 +206,6 @@ def _generate_runner(plan: Plan, checks: Sequence[Any]) -> Tuple[str, Tuple[Tupl
         loops.append((header, iterable))
         regions.append([])
         probes_in.append(0)
-        meets_in.append(0)
         for node in nodes:
             bound_depth[node] = depth
 
@@ -245,15 +238,14 @@ def _generate_runner(plan: Plan, checks: Sequence[Any]) -> Tuple[str, Tuple[Tupl
                 open_loop(f"for v{source}, v{target} in {pairs}:", pairs, (source, target))
                 check_lines(source, code[0])
                 check_lines(target, code[1])
-        elif kind is MultiwayIntersect or kind is Extend:
+        elif kind is Extend:
             node = step.node
-            adjacency = "csr" if kind is MultiwayIntersect else "adj"
             by_depth: Dict[int, List[str]] = {}
             for direction, label, anchor in step.probes:
-                expr = f"{param((adjacency, (direction, label)), 'a')}[{ref(anchor)}]"
+                expr = f"{param(('adj', (direction, label)), 'a')}[{ref(anchor)}]"
                 by_depth.setdefault(bound_depth[anchor], []).append(expr)
             if not by_depth:
-                raise ValueError(f"{type(step).__name__} on ?{node} has no probe")
+                raise ValueError(f"Extend on ?{node} has no probe")
             # a print constant is the fold's first operand: its one-node
             # set enforces label and value in the intersection itself
             current = param(("print", node), "c") if code == PRINT else None
@@ -266,8 +258,6 @@ def _generate_runner(plan: Plan, checks: Sequence[Any]) -> Tuple[str, Tuple[Tupl
                     regions[d].append(f"if not {var}: " + ("return" if d == 0 else "continue"))
                     probes_in[d] += 1
                     current = var
-            if kind is MultiwayIntersect:
-                meets_in[max(by_depth)] += 1
             # singleton results skip the sort: order is trivially stable
             regions[depth].append(f"i{node} = {current} if len({current}) < 2 else sorted({current})")
             open_loop(f"for v{node} in i{node}:", f"i{node}", (node,))
@@ -298,19 +288,13 @@ def _generate_runner(plan: Plan, checks: Sequence[Any]) -> Tuple[str, Tuple[Tupl
         f"def _make({', '.join(used)}):",
         f"    def _runner(fixed{defaults}):",
         "        probes = 0",
-        "        meets = 0",
         "        try:",
     ]
     def charges(d: int, trips: str) -> None:
-        # region d's per-entry tallies, charged in bulk: times the trip
+        # region d's per-entry probes, charged in bulk: times the trip
         # count of the loop that opens it (one line per binding, not per step)
-        parts = [
-            f"{counter} += {count}{trips}"
-            for counter, count in (("probes", probes_in[d]), ("meets", meets_in[d]))
-            if count
-        ]
-        if parts:
-            lines.append(pad + "; ".join(parts))
+        if probes_in[d]:
+            lines.append(pad + f"probes += {probes_in[d]}{trips}")
 
     pad = "            "
     charges(0, "")
@@ -322,7 +306,7 @@ def _generate_runner(plan: Plan, checks: Sequence[Any]) -> Tuple[str, Tuple[Tupl
             lines.append(pad + header)
             pad += "    "
     lines.append("        finally:")
-    lines.append("            charge(index_probes=probes, intersections=meets)")
+    lines.append("            charge(index_probes=probes)")
     lines.append("    return _runner")
     return "\n".join(lines), tuple(names)
 
@@ -388,9 +372,6 @@ def seeded_runner(plan: Plan, pattern: Pattern, instance: Instance) -> Callable[
     for kind, arg in specs:
         if kind == "adj":
             values.append(store.neighbour_sets(arg[1], arg[0]))
-        elif kind == "csr":
-            index = store.sorted_adjacency(arg[1])
-            values.append(index.targets_sets() if arg[0] == "out" else index.sources_sets())
         elif kind == "seeds":
             values.append(_scan_seeds(pattern, instance, arg))
         elif kind == "print":

@@ -1,29 +1,14 @@
 """The cost-based pattern planner.
 
 Compiles a :class:`~repro.core.pattern.Pattern` into a
-:class:`~repro.plan.steps.Plan`.  Two join disciplines are available:
-
-**Left-deep** (the default for acyclic patterns): pick the most
-selective seed (a node's label/print index or an edge label's index),
-then greedily extend to the cheapest adjacent pattern node via index
-probes, emitting residual ``Verify`` steps as soon as both endpoints
-of an unconsumed edge are bound.
-
-**Multiway** (worst-case optimal, for cyclic patterns over dense edge
-labels): a global variable order built greedily by connectivity to the
-bound frontier, every binding a
-:class:`~repro.plan.steps.MultiwayIntersect` over sorted adjacency
-arrays.  A cyclic pattern — triangle, diamond, clique — makes every
-left-deep pipeline enumerate binary intermediates the final result
-throws away (O(n²) pairs on a dense triangle where the output touches
-O(n^1.5) ids); intersecting *all* edges into each new variable at once
-is the classical worst-case-optimal-join fix.  Routing is cost-based:
-cyclicity alone is not enough — on a sparse cycle the left-deep
-pipeline's tiny intermediates beat the array machinery, so the planner
-requires the cheapest pattern edge to still fan out
-:data:`MULTIWAY_MIN_FANOUT`-fold before switching.  The decision is
-stamped into :attr:`Plan.strategy`, so the per-(signature, epoch) plan
-cache caches the strategy choice too.
+:class:`~repro.plan.steps.Plan`: pick the most selective seed (a
+node's label/print index or an edge label's index), then greedily
+extend to the cheapest adjacent pattern node, emitting residual
+``Verify`` steps as soon as both endpoints of an unconsumed edge are
+bound.  Each ``Extend`` probes from *every* bound neighbour of its new
+node, so a cyclic pattern closes by intersection: a triangle plans as
+``ScanNodes, Extend, Extend`` with both of its closing edges on the
+last step, the variable-at-a-time generic join over binary relations.
 
 Selectivity comes from the :class:`~repro.graph.store.GraphStore`
 cardinality statistics:
@@ -40,13 +25,12 @@ deterministic for a given statistics snapshot.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import Instance
 from repro.core.pattern import Pattern
 from repro.plan.steps import (
     Extend,
-    MultiwayIntersect,
     Plan,
     PlanStep,
     ScanEdges,
@@ -56,14 +40,6 @@ from repro.plan.steps import (
 
 #: Assumed selectivity of a print predicate (no value histograms).
 PREDICATE_SELECTIVITY = 0.5
-
-#: Join-strategy names (:attr:`Plan.strategy`).
-STRATEGIES = ("left-deep", "multiway")
-
-#: A cyclic pattern is routed to the multiway operator only when every
-#: pattern edge still fans out at least this much in its *better*
-#: direction — sparse cycles keep the cheaper left-deep pipeline.
-MULTIWAY_MIN_FANOUT = 4.0
 
 
 def _node_seed_estimate(pattern: Pattern, instance: Instance, node: int) -> Tuple[float, str]:
@@ -91,99 +67,17 @@ def _probe_fanout(instance: Instance, anchor_label: str, direction: str, edge_la
     return total / population
 
 
-def pattern_is_cyclic(nodes: Sequence[int], edges: Sequence[Tuple[int, str, int]]) -> bool:
-    """Whether the pattern's shape contains an undirected cycle.
-
-    Union-find over the distinct undirected endpoint pairs: a pair
-    whose endpoints are already connected closes a cycle.  Self-loops
-    and parallel edges (same pair, any direction/label) are residual
-    ``Verify`` work in every plan and do not count as cycles here.
-    """
-    parent: Dict[int, int] = {node: node for node in nodes}
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    seen_pairs: Set[Tuple[int, int]] = set()
-    for source, _, target in edges:
-        if source == target:
-            continue
-        pair = (source, target) if source < target else (target, source)
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        root_s, root_t = find(pair[0]), find(pair[1])
-        if root_s == root_t:
-            return True
-        parent[root_s] = root_t
-    return False
-
-
-def _edge_fanout(instance: Instance, pattern: Pattern, edge: Tuple[int, str, int]) -> float:
-    """An edge's average fanout in its cheaper probe direction."""
-    source, label, target = edge
-    out = _probe_fanout(instance, pattern.node_record(source).label, "out", label)
-    into = _probe_fanout(instance, pattern.node_record(target).label, "in", label)
-    return min(out, into)
-
-
-def choose_strategy(
-    pattern: Pattern,
-    instance: Instance,
-    fixed: Sequence[int] = (),
-) -> str:
-    """The join discipline the costing picks for this pattern/epoch.
-
-    ``"multiway"`` iff the pattern is cyclic *and* dense enough that a
-    left-deep pipeline would drown in binary intermediates — every
-    pattern edge must fan out at least :data:`MULTIWAY_MIN_FANOUT` in
-    its better direction (one selective edge gives left-deep a cheap
-    seed, so any sparse edge keeps the old pipeline).
-    """
-    nodes = sorted(pattern.nodes())
-    edges = sorted(edge.as_tuple() for edge in pattern.edges())
-    if not edges or not pattern_is_cyclic(nodes, edges):
-        return "left-deep"
-    if any(pattern.node_record(node).has_print for node in nodes):
-        # a print constant pins a variable to one node; left-deep
-        # starting there never builds a large intermediate
-        return "left-deep"
-    fanout = min(_edge_fanout(instance, pattern, edge) for edge in edges)
-    return "multiway" if fanout >= MULTIWAY_MIN_FANOUT else "left-deep"
-
-
 def compile_plan(
     pattern: Pattern,
     instance: Instance,
     fixed: Sequence[int] = (),
-    strategy: Optional[str] = None,
 ) -> Plan:
     """Compile ``pattern`` into an executable :class:`Plan`.
 
     ``fixed`` names the pattern nodes that arrive pre-bound (their
     bindings are supplied at execution time); the plan treats them as
-    already joined and extends outward from them.  ``strategy`` forces
-    a join discipline (``"left-deep"`` / ``"multiway"``); by default
-    :func:`choose_strategy` decides from the cardinality statistics.
+    already joined and extends outward from them.
     """
-    if strategy is None:
-        strategy = choose_strategy(pattern, instance, fixed)
-    elif strategy not in STRATEGIES:
-        raise ValueError(f"unknown join strategy {strategy!r} (expected one of {STRATEGIES})")
-    if strategy == "multiway":
-        return _compile_multiway(pattern, instance, fixed)
-    return _compile_left_deep(pattern, instance, fixed)
-
-
-def _compile_left_deep(
-    pattern: Pattern,
-    instance: Instance,
-    fixed: Sequence[int] = (),
-) -> Plan:
-    """The greedy probe-intersection pipeline (see module docstring)."""
     nodes = sorted(pattern.nodes())
     edges = sorted(edge.as_tuple() for edge in pattern.edges())
     bound: Set[int] = {node for node in fixed if node in set(nodes)}
@@ -281,90 +175,4 @@ def _compile_left_deep(
         edge_count=len(edges),
         estimated_rows=estimated_rows,
         epoch=instance.store.stats_epoch,
-        strategy="left-deep",
-    )
-
-
-def _compile_multiway(
-    pattern: Pattern,
-    instance: Instance,
-    fixed: Sequence[int] = (),
-) -> Plan:
-    """The worst-case-optimal pipeline: one global variable order, one
-    :class:`MultiwayIntersect` per variable reachable from the frontier.
-
-    Variable ordering is the classical WCOJ heuristic: bind next the
-    variable with the *most* pattern edges into the already-bound set
-    (maximising how many arrays constrain it at once), tie-broken by
-    the smaller seed estimate and then by node id.  Every non-self-loop
-    edge is consumed by the intersection that binds its later endpoint,
-    so the only residual ``Verify`` steps are self-loops and edges
-    between pre-bound (``fixed``) nodes.
-    """
-    nodes = sorted(pattern.nodes())
-    edges = sorted(edge.as_tuple() for edge in pattern.edges())
-    bound: Set[int] = {node for node in fixed if node in set(nodes)}
-    steps: List[PlanStep] = []
-    consumed: Set[Tuple[int, str, int]] = set()
-    estimated_rows = 1.0
-
-    def flush_verifies() -> None:
-        for edge in edges:
-            source, label, target = edge
-            if edge not in consumed and source in bound and target in bound:
-                steps.append(Verify(source, label, target))
-                consumed.add(edge)
-
-    flush_verifies()
-
-    remaining = [node for node in nodes if node not in bound]
-    while remaining:
-        best: Optional[Tuple[int, float, int, Tuple[Tuple[str, str, int], ...]]] = None
-        for node in remaining:
-            probes: List[Tuple[str, str, int]] = []
-            for source, label, target in edges:
-                if source == target:
-                    continue
-                if target == node and source in bound:
-                    probes.append(("out", label, source))
-                elif source == node and target in bound:
-                    probes.append(("in", label, target))
-            probes.sort()
-            seed_est, _ = _node_seed_estimate(pattern, instance, node)
-            candidate = (-len(probes), seed_est, node, tuple(probes))
-            if best is None or candidate[:3] < best[:3]:
-                best = candidate
-        assert best is not None
-        _, seed_est, node, probes = best
-        if probes:
-            fanout = min(
-                _probe_fanout(instance, pattern.node_record(anchor).label, direction, label)
-                for direction, label, anchor in probes
-            )
-            if pattern.node_record(node).has_print:
-                fanout = min(fanout, 1.0)
-            steps.append(MultiwayIntersect(node, probes, fanout))
-            estimated_rows *= max(fanout, 0.0)
-            for direction, label, anchor in probes:
-                if direction == "out":
-                    consumed.add((anchor, label, node))
-                else:
-                    consumed.add((node, label, anchor))
-        else:
-            detail = _node_seed_estimate(pattern, instance, node)[1]
-            record = pattern.node_record(node)
-            steps.append(ScanNodes(node, record.label, detail, seed_est))
-            estimated_rows *= seed_est
-        bound.add(node)
-        remaining.remove(node)
-        flush_verifies()
-
-    return Plan(
-        steps=tuple(steps),
-        fixed=tuple(sorted(set(fixed) & set(nodes))),
-        node_count=len(nodes),
-        edge_count=len(edges),
-        estimated_rows=estimated_rows,
-        epoch=instance.store.stats_epoch,
-        strategy="multiway",
     )

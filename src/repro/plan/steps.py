@@ -7,21 +7,15 @@ checking) pattern nodes against the instance's indexes:
   from the label/print index;
 * :class:`ScanEdges` — seed: iterate the ``edges_with_label`` index,
   binding both endpoints of one pattern edge at once;
-* :class:`Extend` — bind one more pattern node by intersecting
-  ``out_neighbours``/``in_neighbours`` probes from already-bound nodes
-  (an index nested-loop join);
-* :class:`MultiwayIntersect` — bind one more pattern node by a k-way
-  intersection of the anchors' sorted adjacency (CSR) sets
-  (:mod:`repro.graph.adjacency`); the worst-case-optimal operator the
-  planner emits for cyclic patterns;
+* :class:`Extend` — bind one more pattern node by intersecting the
+  neighbour sets of *every* already-bound node it has a pattern edge
+  to (a variable-at-a-time generic join: the closing step of a
+  triangle intersects both of its probes at once);
 * :class:`Verify` — check a pattern edge whose endpoints are both
   bound (residual edges: self-loops, parallel edges, cross edges).
 
-A plan carries the ``strategy`` the planner chose — ``"left-deep"``
-(greedy probe-intersection pipeline) or ``"multiway"`` (global variable
-order, every step a sorted-array intersection) — and renders it in
-``explain()``/``to_json()`` so EXPLAIN shows which join discipline a
-pattern gets at the current statistics epoch.
+There is one join discipline; ``explain()``/``to_json()`` still name it
+(:data:`STRATEGY`) so EXPLAIN replies keep their ``strategy`` field.
 
 Steps reference pattern nodes by id; all data access happens at
 execution time against live indexes, so a compiled plan stays *correct*
@@ -37,6 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict, List, Tuple
+
+
+#: The join discipline every plan uses, as EXPLAIN names it.
+STRATEGY = "left-deep"
 
 
 def _ref(node: int) -> str:
@@ -97,31 +95,6 @@ class Extend:
 
 
 @dataclass(frozen=True)
-class MultiwayIntersect:
-    """Bind one node via a k-way sorted-array intersection.
-
-    Probes read exactly like :class:`Extend` — ``(direction, edge
-    label, anchor node)`` — but execution intersects the anchors' CSR
-    span sets (built once per statistics epoch) rather than the edge
-    columns' neighbour-set maps, in the variable order of leapfrog
-    triejoin.
-    """
-
-    node: int
-    probes: Tuple[Tuple[str, str, int], ...]
-    est: float
-
-    def describe(self) -> str:
-        parts = []
-        for direction, label, anchor in self.probes:
-            if direction == "out":
-                parts.append(f"{_ref(anchor)} -{label}-> {_ref(self.node)}")
-            else:
-                parts.append(f"{_ref(self.node)} -{label}-> {_ref(anchor)}")
-        return f"MultiwayIntersect({_ref(self.node)} via " + " ∩ ".join(parts) + ")"
-
-
-@dataclass(frozen=True)
 class Verify:
     """Check a pattern edge between two already-bound nodes."""
 
@@ -133,18 +106,12 @@ class Verify:
         return f"Verify({_ref(self.source)} -{self.label}-> {_ref(self.target)})"
 
 
-PlanStep = Any  # ScanNodes | ScanEdges | Extend | MultiwayIntersect | Verify
+PlanStep = Any  # ScanNodes | ScanEdges | Extend | Verify
 
 
 @dataclass(frozen=True)
 class Plan:
-    """A compiled, cacheable join pipeline for one pattern shape.
-
-    ``strategy`` records the join discipline the planner chose for this
-    (signature, epoch) — caching the plan therefore caches the strategy
-    decision itself, and an epoch bump after densification can flip a
-    cyclic pattern from ``left-deep`` to ``multiway`` on recompilation.
-    """
+    """A compiled, cacheable join pipeline for one pattern shape."""
 
     steps: Tuple[PlanStep, ...]
     fixed: Tuple[int, ...]
@@ -152,7 +119,6 @@ class Plan:
     edge_count: int
     estimated_rows: float
     epoch: int
-    strategy: str = "left-deep"
 
     @cached_property
     def shape(self) -> Tuple[Any, ...]:
@@ -167,8 +133,8 @@ class Plan:
             kind = type(step)
             if kind is ScanNodes:
                 steps.append(("ScanNodes", step.node, step.label))
-            elif kind is Extend or kind is MultiwayIntersect:
-                steps.append((kind.__name__, step.node, step.probes))
+            elif kind is Extend:
+                steps.append(("Extend", step.node, step.probes))
             else:  # ScanEdges, Verify
                 steps.append((kind.__name__, step.source, step.label, step.target))
         return (self.fixed, tuple(steps))
@@ -178,7 +144,7 @@ class Plan:
         pad = " " * indent
         head = (
             f"{pad}PlanPipeline({self.node_count} nodes, {self.edge_count} edges; "
-            f"strategy={self.strategy}, est_rows={self.estimated_rows:g}, "
+            f"strategy={STRATEGY}, est_rows={self.estimated_rows:g}, "
             f"epoch={self.epoch})"
         )
         lines = [head]
@@ -214,7 +180,7 @@ class Plan:
             "fixed": list(self.fixed),
             "estimated_rows": round(self.estimated_rows, 3),
             "epoch": self.epoch,
-            "strategy": self.strategy,
+            "strategy": STRATEGY,
             "steps": steps,
             "text": self.explain(),
         }

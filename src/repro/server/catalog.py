@@ -231,7 +231,7 @@ class ServedDatabase:
     def explain(self, pattern_source: str) -> Dict[str, Any]:
         """The compiled match plan for a DSL pattern (no execution)."""
         from repro.core.pattern import NegatedPattern
-        from repro.plan import explain_pattern, plan_for
+        from repro.plan import STRATEGY, explain_pattern, plan_for
 
         pattern, bindings = parse_pattern(pattern_source, self.scheme)
         instance = self.to_instance()
@@ -243,7 +243,7 @@ class ServedDatabase:
         return {
             "backend": BACKEND,
             "text": text,
-            "strategy": plan.strategy,
+            "strategy": STRATEGY,
             "plan": plan.to_json(),
             "crossed_extensions": (
                 len(pattern.extensions) if isinstance(pattern, NegatedPattern) else 0

@@ -79,6 +79,15 @@ def _txn_charges(tally: Any) -> Dict[str, int]:
     }
 
 
+def _plan_charges(tally: Any) -> Dict[str, int]:
+    """The planner slice of a counters tally, for STATS."""
+    return {
+        "plan_cache_hits": tally.plan_cache_hits,
+        "plan_cache_misses": tally.plan_cache_misses,
+        "index_probes": tally.index_probes,
+    }
+
+
 def _attach_charges(error: BaseException, charges: Dict[str, int]) -> None:
     """Stash stats charges on a failing request's exception."""
     try:
@@ -347,12 +356,7 @@ class ServerSession:
                 "delta_matchings": tally.delta_matchings,
                 "fixpoint_rounds": tally.rounds,
                 "fixpoint_runs": tally.fixpoint_runs,
-                "plan_cache_hits": tally.plan_cache_hits,
-                "plan_cache_misses": tally.plan_cache_misses,
-                "index_probes": tally.index_probes,
-                "index_builds": tally.index_builds,
-                "leapfrog_seeks": tally.leapfrog_seeks,
-                "intersections": tally.intersections,
+                **_plan_charges(tally),
                 **_txn_charges(tally),
             },
         }
@@ -401,12 +405,7 @@ class ServerSession:
                 "delta_matchings": tally.delta_matchings,
                 "fixpoint_rounds": tally.rounds,
                 "fixpoint_runs": tally.fixpoint_runs,
-                "plan_cache_hits": tally.plan_cache_hits,
-                "plan_cache_misses": tally.plan_cache_misses,
-                "index_probes": tally.index_probes,
-                "index_builds": tally.index_builds,
-                "leapfrog_seeks": tally.leapfrog_seeks,
-                "intersections": tally.intersections,
+                **_plan_charges(tally),
                 **_txn_charges(tally),
             },
         }
@@ -422,12 +421,7 @@ class ServerSession:
         found["_charges"] = {
             "queries": 1,
             "matchings_enumerated": found["total"],
-            "plan_cache_hits": tally.plan_cache_hits,
-            "plan_cache_misses": tally.plan_cache_misses,
-            "index_probes": tally.index_probes,
-            "index_builds": tally.index_builds,
-            "leapfrog_seeks": tally.leapfrog_seeks,
-            "intersections": tally.intersections,
+            **_plan_charges(tally),
         }
         return found
 
@@ -438,12 +432,7 @@ class ServerSession:
             payload = database.explain(source)
         payload["_charges"] = {
             "queries": 1,
-            "plan_cache_hits": tally.plan_cache_hits,
-            "plan_cache_misses": tally.plan_cache_misses,
-            "index_probes": tally.index_probes,
-            "index_builds": tally.index_builds,
-            "leapfrog_seeks": tally.leapfrog_seeks,
-            "intersections": tally.intersections,
+            **_plan_charges(tally),
         }
         return payload
 

@@ -106,16 +106,11 @@ class DatabaseStats:
         self.delta_matchings = 0
         self.fixpoint_rounds = 0
         self.fixpoint_runs = 0
-        # planner work (repro.plan tallies): cache effectiveness, how
-        # many index probes the executor issued, and the multiway-join
-        # machinery — sorted-adjacency (CSR) indexes built, galloping
-        # seeks performed, k-way intersections executed
+        # planner work (repro.plan tallies): cache effectiveness and how
+        # many index probes the executor issued
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.index_probes = 0
-        self.index_builds = 0
-        self.leapfrog_seeks = 0
-        self.intersections = 0
         # transaction work (repro.txn tallies): undo-journal entries
         # recorded, full snapshots captured (fallback protocol only),
         # rollbacks replayed and the estimated snapshot bytes the
@@ -172,9 +167,6 @@ class DatabaseStats:
             "plan_cache_hits": self.plan_cache_hits,
             "plan_cache_misses": self.plan_cache_misses,
             "index_probes": self.index_probes,
-            "index_builds": self.index_builds,
-            "leapfrog_seeks": self.leapfrog_seeks,
-            "intersections": self.intersections,
             "txn_journal_entries": self.txn_journal_entries,
             "txn_snapshot_captures": self.txn_snapshot_captures,
             "txn_rollbacks": self.txn_rollbacks,

@@ -2,28 +2,23 @@
 
 :func:`interpret_plan` walks a :class:`~repro.plan.steps.Plan` one step
 at a time with a recursive generator, re-checking every candidate's
-label, print value and predicate, and runs each
-:class:`~repro.plan.steps.MultiwayIntersect` as a galloping k-way
-intersection (:func:`~repro.plan.leapfrog.intersect_sorted`) over the
-CSR adjacency slices and the node's sorted label array.  It is the
-oracle the production executor, which compiles every plan into nested
-loops, is held to: same matchings, same order.
+label, print value and predicate.  It is the oracle the production
+executor, which compiles every plan into nested loops, is held to:
+same matchings, same order.
 
-It charges the work counters the way the interpreter always did: one
-index probe per ``Extend`` probe per binding, and the galloping seeks
-as ``leapfrog_seeks``.
+It charges one index probe per ``Extend`` probe per binding, and one
+per scan or ``Verify`` step reached.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core import counters as _counters
 from repro.core.instance import Instance
 from repro.core.pattern import Pattern
 from repro.graph.store import NO_PRINT
-from repro.plan.leapfrog import intersect_sorted
-from repro.plan.steps import Extend, MultiwayIntersect, Plan, ScanNodes, Verify
+from repro.plan.steps import Extend, Plan, ScanNodes, Verify
 
 #: A matching: pattern node id -> instance node id.
 Matching = Dict[int, int]
@@ -59,8 +54,7 @@ def interpret_plan(
     nodes; like the production runner, it trusts them to satisfy their
     pattern records.
     """
-    # work tallies: [index probes, leapfrog seeks, multiway intersections]
-    tally = [0, 0, 0]
+    tally = [0]  # index probes (a cell the nested generator can bump)
     try:
         records = {node: pattern.node_record(node) for node in pattern.nodes()}
         predicates = {node: pattern.predicate_of(node) for node in pattern.nodes()}
@@ -128,33 +122,6 @@ def interpret_plan(
                         assignment[node] = candidate
                         yield from run(index + 1)
                         del assignment[node]
-            elif type(step) is MultiwayIntersect:
-                # galloping k-way intersection over the CSR adjacency
-                # slices and the node's sorted label array
-                node = step.node
-                operands: List[Sequence[int]] = []
-                for direction, label, anchor in step.probes:
-                    adjacency_index = store.sorted_adjacency(label)
-                    image = assignment[anchor]
-                    if direction == "out":
-                        operands.append(adjacency_index.targets_of(image))
-                    else:
-                        operands.append(adjacency_index.sources_of(image))
-                tally[0] += len(operands)
-                record = records[node]
-                if record.has_print or predicates[node] is not None:
-                    # tiny explicit constraint list: enforces label,
-                    # print value and predicate in the intersection
-                    operands.append(sorted(_seed_candidates(pattern, instance, node)))
-                else:
-                    operands.append(store.sorted_nodes_with_label(record.label))
-                candidates, step_seeks = intersect_sorted(operands)
-                tally[1] += step_seeks
-                tally[2] += 1
-                for candidate in candidates:
-                    assignment[node] = candidate
-                    yield from run(index + 1)
-                    del assignment[node]
             elif type(step) is Verify:
                 tally[0] += 1
                 if store.has_edge(
@@ -188,9 +155,5 @@ def interpret_plan(
 
         yield from run(0)
     finally:
-        if tally[0] or tally[1] or tally[2]:
-            _counters.charge(
-                index_probes=tally[0],
-                leapfrog_seeks=tally[1],
-                intersections=tally[2],
-            )
+        if tally[0]:
+            _counters.charge(index_probes=tally[0])

@@ -3,8 +3,8 @@
 :class:`ReferenceGraphStore` is the pre-columnar ``GraphStore``
 implementation, kept verbatim as an executable specification: a Python
 dict of per-node :class:`~repro.graph.store.NodeRecord` objects plus
-set-based adjacency and label indexes, with the sorted-adjacency CSR
-arrays bolted on as a lazily rebuilt secondary index.
+set-based adjacency and label indexes, with sorted label arrays and
+the forward CSR view built on demand.
 
 It exists for two reasons:
 
@@ -14,8 +14,8 @@ It exists for two reasons:
   every observable agrees — the columnar rewrite stays honest against
   the simple implementation;
 * the columnar benchmark (``benchmarks/test_bench_columnar.py``)
-  measures resident bytes and cold pattern-match latency against this
-  store to assert the headline floors.
+  measures resident bytes against this store to assert the headline
+  memory floor.
 
 Apart from the class name (and journal entries carrying label strings
 rather than interned label ids) the semantics, caching and COW
@@ -29,12 +29,12 @@ from array import array
 from collections import OrderedDict
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.graph.adjacency import AdjacencyIndex
+from repro.graph.columns import build_csr
 from repro.graph.store import NO_PRINT, Delta, Edge, GraphStoreError, NodeRecord
 
-#: Sorted-adjacency / sorted-label entries kept per store.  Entries are
-#: immutable and keyed by epoch, so eviction only ever costs a rebuild.
-MAX_CACHED_ADJACENCY = 64
+#: Sorted-label arrays kept per store.  Entries are immutable and keyed
+#: by epoch, so eviction only ever costs a rebuild.
+MAX_CACHED_LABEL_ARRAYS = 64
 
 
 class ReferenceGraphStore:
@@ -59,7 +59,7 @@ class ReferenceGraphStore:
         "_edge_label_views",
         "_out_views",
         "_in_views",
-        "_adjacency_cache",
+        "_label_arrays",
         "_plan_cache",
         "_frozen",
         "_shared_data",
@@ -95,7 +95,7 @@ class ReferenceGraphStore:
         self._edge_label_views: Dict[str, FrozenSet[Tuple[int, int]]] = {}
         self._out_views: Dict[int, Dict[str, FrozenSet[int]]] = {}
         self._in_views: Dict[int, Dict[str, FrozenSet[int]]] = {}
-        self._adjacency_cache: "OrderedDict[Tuple[str, str, int], Any]" = OrderedDict()
+        self._label_arrays: "OrderedDict[Tuple[str, int], array]" = OrderedDict()
         self._plan_cache: Optional[Dict[Any, Any]] = None
         self._frozen = False
         self._shared_data = False
@@ -177,9 +177,9 @@ class ReferenceGraphStore:
         if frozen:
             # entries are keyed by stats_epoch, which a mutable clone
             # reaches again with different contents: share only frozen
-            clone._adjacency_cache = self._adjacency_cache
+            clone._label_arrays = self._label_arrays
         else:
-            clone._adjacency_cache = OrderedDict()
+            clone._label_arrays = OrderedDict()
         if self._plan_cache is None and not self._frozen:
             self._plan_cache = OrderedDict()
         clone._plan_cache = self._plan_cache
@@ -552,41 +552,25 @@ class ReferenceGraphStore:
         """The set of edge labels that occur in the store."""
         return frozenset(self._by_edge_label)
 
-    # ------------------------------------------------------------------
-    # sorted-adjacency arrays (worst-case-optimal join support)
-    # ------------------------------------------------------------------
-    def sorted_adjacency(self, label: str) -> AdjacencyIndex:
-        """The CSR sorted-adjacency index for ``label`` at this epoch."""
-        key = ("adj", label, self._stats_epoch)
-        cache = self._adjacency_cache
-        index = cache.get(key)
-        if index is None:
-            index = AdjacencyIndex(
-                label, self._by_edge_label.get(label, ()), self._stats_epoch
-            )
-            cache[key] = index
-            self._trim_adjacency_cache()
-        return index
-
-    def cached_adjacency(self, label: str) -> Optional[AdjacencyIndex]:
-        """The current-epoch index for ``label`` if already built."""
-        return self._adjacency_cache.get(("adj", label, self._stats_epoch))
+    def out_csr(self, label: str) -> Tuple[array, array, array]:
+        """``label``'s forward CSR ``(sources, offsets, targets)``."""
+        return build_csr(sorted(self._by_edge_label.get(label, ())))
 
     def sorted_nodes_with_label(self, label: str) -> array:
         """All node ids carrying ``label`` as a sorted ``array('q')``."""
-        key = ("lbl", label, self._stats_epoch)
-        cache = self._adjacency_cache
+        key = (label, self._stats_epoch)
+        cache = self._label_arrays
         nodes = cache.get(key)
         if nodes is None:
             nodes = array("q", sorted(self._by_label.get(label, ())))
             cache[key] = nodes
-            self._trim_adjacency_cache()
+            self._trim_label_arrays()
         return nodes
 
-    def _trim_adjacency_cache(self) -> None:
-        cache = self._adjacency_cache
+    def _trim_label_arrays(self) -> None:
+        cache = self._label_arrays
         try:
-            while len(cache) > MAX_CACHED_ADJACENCY:
+            while len(cache) > MAX_CACHED_LABEL_ARRAYS:
                 cache.popitem(last=False)
         except KeyError:  # concurrent eviction raced ours; stays bounded
             pass

@@ -5,7 +5,7 @@ this package keeps them in memory only.  ``repro.wal`` adds the classic
 redo story on top of PR 5's undo journals:
 
 * :mod:`repro.wal.record` — the NDJSON record framing: one CRC-guarded
-  JSON document per line, tuple-safe encoding for engine payloads;
+  JSON document per line;
 * :mod:`repro.wal.log` — :class:`~repro.wal.log.WalWriter` (append +
   fsync with ``always`` / ``group:<ms>`` / ``off`` policies and a
   group-commit batcher) and :class:`~repro.wal.log.WalReader`

@@ -22,13 +22,6 @@ Earlier releases could also write a binary segment format, recognised
 by its :data:`BINARY_MAGIC` header.  It is no longer read; scanning
 such a segment raises :class:`WalFormatError` with the migration steps
 rather than mistaking the header for a torn first record.
-
-Engine payloads are not plain JSON: minirel rows hold ``("v", value)``
-*tuples* (hashed by the table indexes, so a list round trip would
-corrupt them) and Tarski relations are sets of pairs.  :func:`jsonify`
-/ :func:`dejsonify` make the round trip faithful by encoding tuples as
-``{"$t": [...]}`` marker objects (and escaping any real mapping that
-happens to carry a ``$t`` key).
 """
 
 from __future__ import annotations
@@ -54,42 +47,6 @@ _SEPARATOR = b" "
 #: Header of a segment in the retired binary format.  A text segment's
 #: first byte is a hex digit, so the header is unambiguous.
 BINARY_MAGIC = b"GWB1\x00\n"
-
-
-# ----------------------------------------------------------------------
-# tuple-safe JSON values
-# ----------------------------------------------------------------------
-
-
-def jsonify(value: Any) -> Any:
-    """Encode ``value`` into plain JSON, preserving tuple-ness.
-
-    Tuples become ``{"$t": [items...]}``; a genuine dict with a ``$t``
-    key is escaped as ``{"$d": {...}}`` so decoding is unambiguous.
-    """
-    if isinstance(value, tuple):
-        return {"$t": [jsonify(item) for item in value]}
-    if isinstance(value, list):
-        return [jsonify(item) for item in value]
-    if isinstance(value, dict):
-        encoded = {key: jsonify(item) for key, item in value.items()}
-        if "$t" in encoded or "$d" in encoded:
-            return {"$d": encoded}
-        return encoded
-    return value
-
-
-def dejsonify(value: Any) -> Any:
-    """Invert :func:`jsonify`."""
-    if isinstance(value, dict):
-        if set(value) == {"$t"}:
-            return tuple(dejsonify(item) for item in value["$t"])
-        if set(value) == {"$d"}:
-            return {key: dejsonify(item) for key, item in value["$d"].items()}
-        return {key: dejsonify(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [dejsonify(item) for item in value]
-    return value
 
 
 # ----------------------------------------------------------------------

@@ -114,9 +114,6 @@ def test_stats_snapshot_carries_planner_keys(served):
             "plan_cache_hits",
             "plan_cache_misses",
             "index_probes",
-            "index_builds",
-            "leapfrog_seeks",
-            "intersections",
         ):
             assert key in total
 
@@ -150,9 +147,10 @@ def dense_people_instance() -> Instance:
     return db
 
 
-def test_dense_triangle_explains_as_multiway():
-    """A cyclic pattern over a dense edge label routes to the multiway
-    discipline, and EXPLAIN says so."""
+def test_dense_triangle_explains_as_two_probe_extend():
+    """A cyclic pattern over a dense edge label plans like any other:
+    one ``Extend`` per variable, the closing one intersecting both of
+    its probes, and EXPLAIN still names the strategy ``left-deep``."""
     catalog = Catalog()
     catalog.add("dense", dense_people_instance())
     server = GoodServer(catalog, max_concurrent=2, max_queue=16)
@@ -160,10 +158,12 @@ def test_dense_triangle_explains_as_multiway():
         host, port = server.address
         with GoodClient(host, port) as client:
             explained = client.explain(TRIANGLE, db="dense")
-            assert explained["strategy"] == "multiway"
-            assert "MultiwayIntersect" in explained["text"]
+            assert explained["backend"] == "native"
+            assert explained["strategy"] == "left-deep"
+            steps = explained["plan"]["steps"]
+            assert [step["op"] for step in steps] == ["ScanNodes", "Extend", "Extend"]
+            assert steps[2]["describe"].count(" -knows-> ") == 2
             found = client.match(TRIANGLE, db="dense")
             assert found["total"] > 0
             stats = client.stats()["databases"]["dense"]
-            assert stats["intersections"] > 0
-            assert stats["index_builds"] >= 1
+            assert stats["index_probes"] > 0

@@ -8,8 +8,8 @@ random interleaving of mutations — adds, removes (which exercise slot
 reuse through the free list), print rewrites, edge churn, overlay
 flushes, copies and checkpoint round trips — and assert the full
 observable surface matches at every step: node/edge sets, labels,
-prints, neighbour sets, label and edge-label sets, degrees, sorted
-adjacency contents, and iteration order.  Published snapshots
+prints, neighbour sets, label and edge-label sets, degrees, forward
+CSR arrays, and iteration order.  Published snapshots
 (``fork()``) are retained across later steps and must keep showing
 their fork-time state: that is what the copy-on-write rule protects.
 
@@ -52,12 +52,11 @@ def observable_state(store):
         for label in EDGE_LABELS
         for direction in ("out", "in")
     }
-    adjacency = {}
-    for label in EDGE_LABELS:
-        index = store.sorted_adjacency(label)
-        adjacency[label] = {
-            source: sorted(index.targets_of(source)) for source in index.sources()
-        }
+    # the merged forward CSR that Instance.validate reads
+    adjacency = {
+        label: tuple(column.tolist() for column in store.out_csr(label))
+        for label in EDGE_LABELS
+    }
     return {
         "nodes": nodes,
         "prints": {

@@ -1,15 +1,14 @@
-"""Property tests for the compiled plan executor and the multiway join.
+"""Property tests for the compiled plan executor on cyclic patterns.
 
-Four guarantees, on random graphs and random small patterns (cyclic
+Three guarantees, on random graphs and random small patterns (cyclic
 and acyclic, with repeated use of variables, parallel edges,
 self-loops, print-constant and predicate nodes):
 
-* a plan forced through the ``multiway`` discipline enumerates exactly
-  the matchings of the forced ``left-deep`` plan and of the
+* the planner's plan enumerates exactly the matchings of the
   backtracking oracle;
 * the compiled runner and the reference step interpreter produce the
-  same matchings in the same order, for left-deep, multiway and
-  edge-scan plans, with and without ``fixed`` bindings, over a scheme
+  same matchings in the same order, for node-seeded and edge-scan
+  plans, with and without ``fixed`` bindings, over a scheme
   in which one edge label reaches two node labels (so some label
   checks must stay) and over label columns with a pending overlay;
 * :func:`find_matchings_delta` yields exactly the full matchings that
@@ -152,16 +151,14 @@ def canonical(matchings):
 
 @given(seeds)
 @SETTINGS
-def test_forced_multiway_equals_left_deep_equals_backtracking(seed):
+def test_planned_equals_backtracking(seed):
     rng = random.Random(seed)
     scheme = graph_scheme()
     instance = random_graph(rng, scheme)
     pattern = random_small_pattern(rng, scheme)
-    multiway = compile_plan(pattern, instance, strategy="multiway")
-    left_deep = compile_plan(pattern, instance, strategy="left-deep")
+    plan = compile_plan(pattern, instance)
     expected = canonical(find_matchings_backtracking(pattern, instance))
-    assert canonical(execute_plan(multiway, pattern, instance)) == expected
-    assert canonical(execute_plan(left_deep, pattern, instance)) == expected
+    assert canonical(execute_plan(plan, pattern, instance)) == expected
 
 
 @given(seeds)
@@ -171,11 +168,10 @@ def test_compiled_runner_equals_interpreter(seed):
     scheme = graph_scheme()
     instance = random_graph(rng, scheme)
     pattern = random_small_pattern(rng, scheme)
-    for strategy in ("multiway", "left-deep"):
-        plan = compile_plan(pattern, instance, strategy=strategy)
-        compiled = list(execute_plan(plan, pattern, instance))
-        interpreted = list(interpret_plan(plan, pattern, instance))
-        assert compiled == interpreted  # identical matchings, identical order
+    plan = compile_plan(pattern, instance)
+    compiled = list(execute_plan(plan, pattern, instance))
+    interpreted = list(interpret_plan(plan, pattern, instance))
+    assert compiled == interpreted  # identical matchings, identical order
 
 
 @given(seeds)
@@ -186,26 +182,25 @@ def test_compiled_runner_equals_interpreter_with_label_checks_and_fixed_nodes(se
     pattern = two_label_pattern(rng, instance.scheme)
     nodes = sorted(pattern.nodes())
     expected = canonical(find_matchings_backtracking(pattern, instance))
-    for strategy in ("multiway", "left-deep"):
-        plan = compile_plan(pattern, instance, strategy=strategy)
-        compiled = list(execute_plan(plan, pattern, instance))
-        assert compiled == list(interpret_plan(plan, pattern, instance))
-        assert canonical(compiled) == expected
+    plan = compile_plan(pattern, instance)
+    compiled = list(execute_plan(plan, pattern, instance))
+    assert compiled == list(interpret_plan(plan, pattern, instance))
+    assert canonical(compiled) == expected
 
-        fixed_nodes = sorted(rng.sample(nodes, rng.randint(1, len(nodes))))
-        plan = compile_plan(pattern, instance, fixed=fixed_nodes, strategy=strategy)
-        candidates = sorted(instance.nodes())
-        fixed = {node: rng.choice(candidates) for node in fixed_nodes}
-        if expected and rng.random() < 0.5:  # often a binding that extends
-            fixed = {node: dict(rng.choice(expected))[node] for node in fixed_nodes}
-        compiled = list(execute_plan(plan, pattern, instance, fixed))
-        if all(binding_ok(pattern, instance, node, image) for node, image in fixed.items()):
-            assert compiled == list(interpret_plan(plan, pattern, instance, fixed))
-            assert canonical(compiled) == [
-                row for row in expected if all(dict(row)[node] == image for node, image in fixed.items())
-            ]
-        else:
-            assert compiled == []
+    fixed_nodes = sorted(rng.sample(nodes, rng.randint(1, len(nodes))))
+    plan = compile_plan(pattern, instance, fixed=fixed_nodes)
+    candidates = sorted(instance.nodes())
+    fixed = {node: rng.choice(candidates) for node in fixed_nodes}
+    if expected and rng.random() < 0.5:  # often a binding that extends
+        fixed = {node: dict(rng.choice(expected))[node] for node in fixed_nodes}
+    compiled = list(execute_plan(plan, pattern, instance, fixed))
+    if all(binding_ok(pattern, instance, node, image) for node, image in fixed.items()):
+        assert compiled == list(interpret_plan(plan, pattern, instance, fixed))
+        assert canonical(compiled) == [
+            row for row in expected if all(dict(row)[node] == image for node, image in fixed.items())
+        ]
+    else:
+        assert compiled == []
 
 
 @given(seeds)
@@ -221,7 +216,7 @@ def test_edge_scan_runner_equals_interpreter(seed):
     if rng.random() < 0.5:
         other = pattern.node(rng.choice("NM"))
         pattern.edge(target, "g", other)
-    plan = compile_plan(pattern, instance, strategy="left-deep")
+    plan = compile_plan(pattern, instance)
     cheapest_scan = min(store.label_count(pattern.label_of(node)) for node in pattern.nodes())
     if store.edge_label_count("h") < cheapest_scan:
         assert isinstance(plan.steps[0], ScanEdges)

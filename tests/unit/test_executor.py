@@ -92,7 +92,7 @@ def test_label_check_stays_where_the_scheme_admits_two_labels():
     x = pattern.node("A")
     y = pattern.node("A")
     pattern.edge(x, "to", y)
-    plan = compile_plan(pattern, db, strategy="left-deep")
+    plan = compile_plan(pattern, db)
     assert [type(step).__name__ for step in plan.steps] == ["ScanEdges"]
     # only A sources a to edge, but its target may be an A or a B
     assert executor_module._checks(plan, pattern, scheme) == (("", "l"),)

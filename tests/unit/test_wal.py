@@ -38,9 +38,7 @@ from repro.wal.record import (
     BINARY_MAGIC,
     WalFormatError,
     decode_line,
-    dejsonify,
     encode_record,
-    jsonify,
     scan_records,
 )
 
@@ -58,12 +56,12 @@ def small_scheme():
 
 
 class TestRecordFraming:
-    #: every JSON value type a record carries, plus tuples via jsonify
+    #: every JSON value type a record carries
     DOC = {
         "kind": "commit",
         "lsn": 7,
         "redo": [{"op": "add_edge", "source": 3, "lid": 2, "target": -4}],
-        "pair": ("v", 1.5),
+        "pair": ["v", 1.5],
         "flag": True,
         "missing": None,
         "big": 1 << 40,
@@ -74,16 +72,14 @@ class TestRecordFraming:
         assert decode_line(encode_record(doc)) == doc
 
     def test_roundtrip_preserves_every_type(self):
-        frame = encode_record(jsonify(self.DOC))
+        frame = encode_record(self.DOC)
         records, valid, torn = scan_records(frame)
         assert valid == len(frame) and torn == 0
-        # ``==`` also checks tuple-ness: ("v", 1.5) != ["v", 1.5]
-        assert [dejsonify(r) for r in records] == [self.DOC]
-        assert isinstance(dejsonify(records[0])["pair"], tuple)
+        assert records == [self.DOC]
 
     def test_torn_tail_at_every_byte(self):
         good = encode_record({"lsn": 1}) + encode_record({"lsn": 2})
-        final = encode_record(jsonify(self.DOC))
+        final = encode_record(self.DOC)
         for cut in range(1, len(final)):
             records, valid, torn = scan_records(good + final[:cut])
             assert [r["lsn"] for r in records] == [1, 2], f"cut={cut}"
@@ -123,23 +119,6 @@ class TestRecordFraming:
         data = encode_record({"lsn": 1})
         records, valid, dropped = scan_records(data)
         assert len(records) == 1 and valid == len(data) and dropped == 0
-
-
-class TestTupleSafeJson:
-    def test_tuples_survive(self):
-        value = {"row": ("v", 42), "nested": [("a", ("b", 1))]}
-        assert dejsonify(json.loads(json.dumps(jsonify(value)))) == value
-
-    def test_real_dict_with_marker_key_is_escaped(self):
-        value = {"$t": "not a tuple", "x": 1}
-        encoded = jsonify(value)
-        assert set(encoded) == {"$d"}
-        assert dejsonify(json.loads(json.dumps(encoded))) == value
-
-    def test_scalars_untouched(self):
-        for value in (None, True, 3, 2.5, "s"):
-            assert jsonify(value) == value
-            assert dejsonify(value) == value
 
 
 # ----------------------------------------------------------------------

@@ -1,30 +1,22 @@
-"""Unit tests for the worst-case-optimal join layer.
+"""Unit tests for the join on cyclic patterns.
 
-Covers the sorted-adjacency CSR indexes (:mod:`repro.graph.adjacency`),
-the galloping k-way intersection (:mod:`repro.plan.leapfrog`), the
-cyclicity/density strategy routing (:mod:`repro.plan.planner`), the
-compiled multiway runner against the step interpreter, seeded runners,
-delta sorted-view memoization and MVCC index sharing.
+Covers the CSR adjacency arrays and neighbour-set maps the executor
+reads (:mod:`repro.graph.columns`), the plan a dense triangle compiles
+to (one ``Extend`` per variable, the closing one intersecting both of
+its probes), the compiled runner against the step interpreter, seeded
+runners, delta sorted-view memoization and MVCC sharing.
 """
 
 import random
-from array import array
 
-import pytest
-
-from repro.core import Instance, Pattern, Scheme, counters
-from repro.graph.adjacency import EMPTY_SET, EMPTY_VIEW, AdjacencyIndex, SpanSets
+from repro.core import Instance, Pattern, Scheme
+from repro.graph.columns import EMPTY_SET, SpanSets, build_csr
 from repro.graph.store import Delta, GraphStore
 from repro.plan import (
-    MULTIWAY_MIN_FANOUT,
-    MultiwayIntersect,
+    Extend,
     ScanNodes,
-    choose_strategy,
     compile_plan,
     execute_plan,
-    gallop,
-    intersect_sorted,
-    pattern_is_cyclic,
     plan_for,
     planned_matchings,
 )
@@ -40,7 +32,7 @@ def graph_scheme() -> Scheme:
 
 
 def dense_instance(n: int = 24, degree: int = 6, seed: int = 7) -> Instance:
-    """A random multigraph dense enough to clear MULTIWAY_MIN_FANOUT."""
+    """A random multigraph with ``degree`` out-edges per node."""
     rng = random.Random(seed)
     db = Instance(graph_scheme())
     nodes = [db.add_object("N") for _ in range(n)]
@@ -66,64 +58,33 @@ def canonical(matchings):
 
 
 # ----------------------------------------------------------------------
-# galloping intersection
+# CSR adjacency and neighbour sets
 # ----------------------------------------------------------------------
-def test_gallop_finds_first_position_not_below_key():
-    values = array("q", [2, 4, 4, 8, 16, 32])
-    assert gallop(values, 4, 0, len(values)) == 1
-    assert gallop(values, 5, 0, len(values)) == 3
-    assert gallop(values, 1, 0, len(values)) == 0
-    assert gallop(values, 33, 0, len(values)) == len(values)
+def spans(store, label):
+    """``source -> targets`` from the store's forward CSR arrays."""
+    keys, offs, vals = store.out_csr(label)
+    return {key: list(vals[offs[i] : offs[i + 1]]) for i, key in enumerate(keys)}
 
 
-def test_intersect_sorted_basics():
-    a = array("q", [1, 3, 5, 7, 9])
-    b = array("q", [3, 4, 5, 9, 12])
-    c = array("q", [0, 3, 9])
-    result, seeks = intersect_sorted([a, b, c])
-    assert result == [3, 9]
-    assert seeks > 0
-
-
-def test_intersect_sorted_empty_operand_short_circuits():
-    result, _ = intersect_sorted([array("q", [1, 2, 3]), array("q")])
-    assert result == []
-
-
-def test_intersect_sorted_singletons():
-    one = array("q", [5])
-    assert intersect_sorted([one, array("q", [1, 5, 9])])[0] == [5]
-    assert intersect_sorted([one, array("q", [1, 9])])[0] == []
-    assert intersect_sorted([one])[0] == [5]
-
-
-# ----------------------------------------------------------------------
-# sorted-adjacency CSR indexes
-# ----------------------------------------------------------------------
 def test_adjacency_index_spans_are_sorted_and_duplicate_free():
-    index = AdjacencyIndex("e", [(2, 9), (1, 5), (2, 3), (1, 7), (2, 6)], epoch=0)
-    assert list(index.targets_of(2)) == [3, 6, 9]
-    assert list(index.targets_of(1)) == [5, 7]
-    assert list(index.sources_of(5)) == [1]
-    assert list(index.targets_of(99)) == []
-    assert index.targets_of(99) is EMPTY_VIEW
-    assert len(index) == 5
-    assert list(index.sources()) == [1, 2]
-    assert index.has_pair(2, 6) and not index.has_pair(2, 5)
+    store = GraphStore()
+    nodes = [store.add_node("N") for _ in range(10)]
+    for source, target in [(2, 9), (1, 5), (2, 3), (1, 7), (2, 6)]:
+        store.add_edge(nodes[source], "e", nodes[target])
+    store.add_edge(nodes[2], "e", nodes[3])  # duplicate: refused
+    assert spans(store, "e") == {
+        nodes[1]: [nodes[5], nodes[7]],
+        nodes[2]: [nodes[3], nodes[6], nodes[9]],
+    }
 
 
 def test_empty_label_builds_an_empty_index():
-    store = GraphStore()
-    index = store.sorted_adjacency("never-used")
-    assert len(index) == 0
-    assert list(index.targets_of(0)) == []
-    assert not index.has_pair(0, 0)
+    keys, offs, vals = GraphStore().out_csr("never-used")
+    assert (list(keys), list(offs), list(vals)) == ([], [0], [])
 
 
 def test_span_sets_memoize_and_share_the_empty_set():
-    index = AdjacencyIndex("e", [(1, 5), (1, 7)], epoch=0)
-    sets = index.targets_sets()
-    assert isinstance(sets, SpanSets)
+    sets = SpanSets(*build_csr([(1, 5), (1, 7)]))
     first = sets[1]
     assert first == frozenset({5, 7})
     assert sets[1] is first  # memoized
@@ -136,165 +97,48 @@ def test_remove_edge_yields_duplicate_free_index_at_new_epoch():
     db.add_edge(a, "e", b)
     db.add_edge(a, "e", c)
     store = db.store
-    before = store.sorted_adjacency("e")
-    assert list(before.targets_of(a)) == sorted([b, c])
+    assert spans(store, "e") == {a: sorted([b, c])}
+    epoch = store.stats_epoch
     db.remove_edge(a, "e", b)
-    after = store.sorted_adjacency("e")
-    assert after is not before  # epoch moved, fresh index
-    assert list(after.targets_of(a)) == [c]
+    assert store.stats_epoch > epoch
+    assert spans(store, "e") == {a: [c]}
     db.add_edge(a, "e", b)
-    again = store.sorted_adjacency("e")
-    assert list(again.targets_of(a)) == sorted([b, c])  # no duplicate entries
-
-
-def test_index_builds_are_charged():
-    db = dense_instance(n=6, degree=2)
-    with counters.collect() as tally:
-        db.store.sorted_adjacency("e")
-        db.store.sorted_adjacency("e")  # cached: no second build
-    assert tally.index_builds == 1
+    assert spans(store, "e") == {a: sorted([b, c])}  # no duplicate entries
 
 
 # ----------------------------------------------------------------------
-# strategy routing
+# plan shape and execution
 # ----------------------------------------------------------------------
-def test_pattern_is_cyclic_shapes():
-    # triangle
-    assert pattern_is_cyclic([1, 2, 3], [(1, "e", 2), (2, "e", 3), (1, "e", 3)])
-    # chain
-    assert not pattern_is_cyclic([1, 2, 3], [(1, "e", 2), (2, "e", 3)])
-    # self-loops and parallel edges are residual Verify work, not cycles
-    assert not pattern_is_cyclic([1], [(1, "e", 1)])
-    assert not pattern_is_cyclic([1, 2], [(1, "e", 2), (2, "x", 1), (1, "y", 2)])
-    # diamond (4-cycle)
-    assert pattern_is_cyclic(
-        [1, 2, 3, 4], [(1, "e", 2), (1, "e", 3), (2, "e", 4), (3, "e", 4)]
-    )
-
-
-def test_dense_cyclic_pattern_routes_to_multiway():
-    db = dense_instance(degree=int(MULTIWAY_MIN_FANOUT) + 2)
-    pattern, _ = triangle_pattern(db.scheme)
-    assert choose_strategy(pattern, db) == "multiway"
-    plan = compile_plan(pattern, db)
-    assert plan.strategy == "multiway"
-
-
-def test_acyclic_and_sparse_patterns_stay_left_deep():
-    db = dense_instance(degree=6)
-    chain = Pattern(db.scheme)
-    x, y, z = chain.node("N"), chain.node("N"), chain.node("N")
-    chain.edge(x, "e", y)
-    chain.edge(y, "e", z)
-    assert choose_strategy(chain, db) == "left-deep"
-
-    sparse = Instance(graph_scheme())
-    ring = [sparse.add_object("N") for _ in range(20)]
-    for i, node in enumerate(ring):  # degree 1 << MULTIWAY_MIN_FANOUT
-        sparse.add_edge(node, "e", ring[(i + 1) % len(ring)])
-    tri, _ = triangle_pattern(sparse.scheme)
-    assert choose_strategy(tri, sparse) == "left-deep"
-
-
-def test_print_fixed_node_keeps_left_deep(tiny_scheme):
-    db = Instance(tiny_scheme)
-    people = [db.add_object("Person") for _ in range(12)]
-    rng = random.Random(3)
-    for person in people:
-        for other in rng.sample(people, 6):
-            db.add_edge(person, "knows", other)
-    pattern = Pattern(tiny_scheme)
-    x, y, z = (pattern.node("Person") for _ in range(3))
-    pattern.edge(x, "knows", y)
-    pattern.edge(y, "knows", z)
-    pattern.edge(x, "knows", z)
-    assert choose_strategy(pattern, db) == "multiway"
-    name = pattern.node("String", "alice")
-    pattern.edge(x, "name", name)
-    assert choose_strategy(pattern, db) == "left-deep"
-
-
-def test_epoch_bump_after_densification_flips_the_cached_strategy():
-    """Satellite (b): the plan cache caches the *strategy* decision —
-    densifying the graph bumps the epoch and recompilation flips a
-    triangle from left-deep to multiway."""
-    db = Instance(graph_scheme())
-    ring = [db.add_object("N") for _ in range(16)]
-    for i, node in enumerate(ring):
-        db.add_edge(node, "e", ring[(i + 1) % len(ring)])
-    pattern, _ = triangle_pattern(db.scheme)
-    sparse_plan, _ = plan_for(pattern, db)
-    assert sparse_plan.strategy == "left-deep"
-    cached_plan, hit = plan_for(pattern, db)
-    assert hit and cached_plan is sparse_plan
-
-    rng = random.Random(11)
-    for source in ring:  # densify well past MULTIWAY_MIN_FANOUT
-        for target in rng.sample(ring, int(MULTIWAY_MIN_FANOUT) + 3):
-            db.add_edge(source, "e", target)
-    dense_plan, hit = plan_for(pattern, db)
-    assert not hit  # epoch moved: the old cached plan is stranded
-    assert dense_plan.strategy == "multiway"
-    assert dense_plan.epoch > sparse_plan.epoch
-
-
-# ----------------------------------------------------------------------
-# multiway plan shape and execution
-# ----------------------------------------------------------------------
-def test_multiway_triangle_plan_shape_and_explain():
+def test_dense_triangle_plans_as_scan_extend_extend():
     db = dense_instance()
     pattern, (x, y, z) = triangle_pattern(db.scheme)
-    plan = compile_plan(pattern, db, strategy="multiway")
-    kinds = [type(step) for step in plan.steps]
-    assert kinds == [ScanNodes, MultiwayIntersect, MultiwayIntersect]
-    # the last variable is constrained by both of its pattern edges
-    assert len(plan.steps[2].probes) == 2
+    plan = compile_plan(pattern, db)
+    assert [type(step) for step in plan.steps] == [ScanNodes, Extend, Extend]
+    # the closing variable is constrained by both of its pattern edges
+    assert plan.steps[2].node == z
+    assert plan.steps[2].probes == (("out", "e", x), ("out", "e", y))
     text = plan.explain()
-    assert "strategy=multiway" in text
-    assert "MultiwayIntersect" in text and "∩" in text
-    assert plan.to_json()["strategy"] == "multiway"
+    assert "strategy=left-deep" in text
+    assert f"Extend(?{z} via ?{x} -e-> ?{z} & ?{y} -e-> ?{z})" in text
+    assert plan.to_json()["strategy"] == "left-deep"
 
 
-def test_unknown_strategy_is_rejected():
-    db = dense_instance(n=6, degree=2)
-    pattern, _ = triangle_pattern(db.scheme)
-    with pytest.raises(ValueError):
-        compile_plan(pattern, db, strategy="bushy")
-
-
-def test_multiway_equals_left_deep_equals_backtracking():
+def test_planned_triangle_equals_backtracking():
     db = dense_instance()
     pattern, _ = triangle_pattern(db.scheme)
-    multiway = compile_plan(pattern, db, strategy="multiway")
-    left_deep = compile_plan(pattern, db, strategy="left-deep")
+    plan = compile_plan(pattern, db)
     expected = canonical(find_matchings_backtracking(pattern, db))
-    assert canonical(execute_plan(multiway, pattern, db)) == expected
-    assert canonical(execute_plan(left_deep, pattern, db)) == expected
+    assert expected
+    assert canonical(execute_plan(plan, pattern, db)) == expected
 
 
 def test_compiled_runner_matches_interpreter():
     db = dense_instance()
     pattern, _ = triangle_pattern(db.scheme)
-    plan = compile_plan(pattern, db, strategy="multiway")
+    plan = compile_plan(pattern, db)
     compiled = list(execute_plan(plan, pattern, db))
     interpreted = list(interpret_plan(plan, pattern, db))
     assert compiled == interpreted  # same matchings, same order
-
-
-def test_multiway_execution_charges_wcoj_counters():
-    db = dense_instance()
-    pattern, _ = triangle_pattern(db.scheme)
-    plan = compile_plan(pattern, db, strategy="multiway")
-    with counters.collect() as tally:
-        found = list(execute_plan(plan, pattern, db))
-    assert found
-    assert tally.index_probes > 0
-    assert tally.intersections > 0
-
-    with counters.collect() as tally:
-        interpreted = list(interpret_plan(plan, pattern, db))
-    assert interpreted == found
-    assert tally.leapfrog_seeks > 0  # the galloping reference path
 
 
 # ----------------------------------------------------------------------
@@ -317,10 +161,9 @@ def test_seeded_left_deep_plans_compile():
     db = dense_instance()
     pattern, (x, y, z) = triangle_pattern(db.scheme)
     plan, _ = plan_for(pattern, db, (x, y))
-    if plan.strategy == "left-deep":
-        checks = executor_module._checks(plan, pattern, db.scheme)
-        source, _ = executor_module._generate_runner(plan, checks)
-        assert "def _runner(fixed" in source
+    checks = executor_module._checks(plan, pattern, db.scheme)
+    source, _ = executor_module._generate_runner(plan, checks)
+    assert "def _runner(fixed" in source
 
 
 # ----------------------------------------------------------------------
@@ -346,14 +189,15 @@ def test_delta_sorted_views_memoize_per_version():
     assert 9 in delta.sorted_nodes()
 
 
-def test_frozen_fork_shares_sorted_adjacency_by_identity():
+def test_frozen_fork_shares_neighbour_sets_by_identity():
     db = dense_instance(n=8, degree=3)
     store = db.store
-    live_index = store.sorted_adjacency("e")
+    live_sets = store.neighbour_sets("e", "out")
     snapshot = store.fork()
-    assert snapshot.sorted_adjacency("e") is live_index
-    # the live side mutates: it gets a fresh index, the snapshot keeps
-    # hitting the entry pinned at its own epoch
+    assert snapshot.neighbour_sets("e", "out") is live_sets
+    # the live side mutates: it clones the column and gets fresh maps,
+    # the snapshot keeps the maps of its own (shared) column
     nodes = sorted(store.nodes_with_label("N"))
     store.add_edge(nodes[0], "e", nodes[1]) or store.remove_edge(nodes[0], "e", nodes[1])
-    assert snapshot.sorted_adjacency("e") is live_index
+    assert store.neighbour_sets("e", "out") is not live_sets
+    assert snapshot.neighbour_sets("e", "out") is live_sets
